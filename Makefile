@@ -17,10 +17,7 @@ test:
 # by the elastic_scaling example during the smoke), and the
 # commit-manager scale-out contract holds (begin throughput >= 3x from
 # 1 to 4 managers, abort rate flat under merged snapshots —
-# CM_current.json is written by the fig_cm smoke), and the
-# buffered-index contract holds (index-phase p99 <= 500 us with TpmC
-# within the smoke tolerance of the committed baseline — the headline
-# run writes BENCH_index_current.json).
+# CM_current.json is written by the fig_cm smoke).
 check:
 	dune build @all
 	dune runtest
@@ -30,8 +27,6 @@ check:
 	dune exec bin/bench_compare.exe -- --elastic ELASTIC_current.json
 	dune exec bin/tell_bench.exe -- experiment fig_cm --quick
 	dune exec bin/bench_compare.exe -- --cm CM_current.json
-	dune exec bin/tell_bench.exe -- tell --pns 4 --rf 3 --json BENCH_index_current.json
-	dune exec bin/bench_compare.exe -- --index BENCH_commit.json BENCH_index_current.json
 
 examples-smoke:
 	dune exec examples/quickstart.exe

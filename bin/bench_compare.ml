@@ -4,7 +4,6 @@
        [--tpmc-tolerance PCT] [--rpno-tolerance PCT] [--abort-tolerance PP]
      bench_compare --elastic ELASTIC.json [--recovery-window-ms MS]
      bench_compare --cm CM.json [--cm-scaling X] [--abort-tolerance PP]
-     bench_compare --index BASELINE.json CURRENT.json [--index-p99-us US]
 
    Fails (exit 1) when the current run's TpmC drops by more than the TpmC
    tolerance (default 15%), its requests-per-new-order rises by more than
@@ -30,13 +29,7 @@
    single-manager rate by more than the abort tolerance (default 1.0
    percentage point in this mode — merged snapshots are at most one
    gossip interval delayed, which SI pays for only in aborts), and
-   every configured manager must have served begins.
-
-   The --index mode gates the buffered-index contract (DESIGN.md §3d):
-   the current run's index commit phase — the blind stripe appends that
-   replaced leaf read/CAS cycles — must keep its p99 under the bound
-   (default 500 us) and TpmC must stay within the usual tolerance of
-   the baseline. *)
+   every configured manager must have served begins. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -74,55 +67,6 @@ let require path contents name =
   | None ->
       Printf.eprintf "bench_compare: field %S not found in %s\n" name path;
       exit 2
-
-(* Scrape [name] from the region following the first occurrence of
-   [anchor] — the flat scraper above always finds the {e first} match,
-   which for a per-phase field like "p99_us" inside "commit_phases"
-   would be a different phase's sample. *)
-let require_after path contents ~anchor name =
-  let rec find from =
-    if from + String.length anchor > String.length contents then None
-    else if String.sub contents from (String.length anchor) = anchor then Some from
-    else find (from + 1)
-  in
-  match find 0 with
-  | None ->
-      Printf.eprintf "bench_compare: anchor %S not found in %s\n" anchor path;
-      exit 2
-  | Some at ->
-      let tail = String.sub contents at (String.length contents - at) in
-      (match field tail name with
-      | Some v -> v
-      | None ->
-          Printf.eprintf "bench_compare: field %S not found after %S in %s\n" name anchor path;
-          exit 2)
-
-(* The buffered-index gate (§3d): the whole point of taking index
-   maintenance off the commit critical path is a short index phase, so
-   the current run's index-phase p99 must sit under an absolute bound
-   and TpmC must stay within the usual tolerance of the baseline. *)
-let check_index ~baseline_path ~current_path ~p99_bound_us ~tpmc_tolerance =
-  let baseline = read_file baseline_path in
-  let current = read_file current_path in
-  let b_tpmc = require baseline_path baseline "tpmc" in
-  let c_tpmc = require current_path current "tpmc" in
-  let c_p99 = require_after current_path current ~anchor:"\"index\":" "p99_us" in
-  let c_mean = require_after current_path current ~anchor:"\"index\":" "mean_us" in
-  let tpmc_drop_pct = 100.0 *. (b_tpmc -. c_tpmc) /. b_tpmc in
-  Printf.printf "index phase mean      %10.2f us\n" c_mean;
-  Printf.printf "index phase p99       %10.2f us  (bound %.0f us)\n" c_p99 p99_bound_us;
-  Printf.printf "TpmC                  %10.1f -> %10.1f  (%+.1f%%, tolerance -%.0f%%)\n" b_tpmc
-    c_tpmc (-.tpmc_drop_pct) tpmc_tolerance;
-  let failed = ref false in
-  if c_p99 > p99_bound_us then begin
-    Printf.printf "FAIL: index-phase p99 %.2f us exceeds %.0f us\n" c_p99 p99_bound_us;
-    failed := true
-  end;
-  if tpmc_drop_pct > tpmc_tolerance then begin
-    Printf.printf "FAIL: TpmC regressed %.1f%% (> %.0f%%)\n" tpmc_drop_pct tpmc_tolerance;
-    failed := true
-  end;
-  if !failed then exit 1 else print_endline "bench_compare: buffered-index contract holds"
 
 (* The storage-elasticity gate (ELASTIC.json from elastic_scaling.exe). *)
 let check_elastic path ~recovery_bound_ms =
@@ -201,8 +145,6 @@ let () =
   let current_path = ref None in
   let elastic_path = ref None in
   let cm_path = ref None in
-  let index_mode = ref false in
-  let index_p99_us = ref 500.0 in
   let tpmc_tolerance = ref 15.0 in
   let rpno_tolerance = ref 10.0 in
   let abort_tolerance = ref None in
@@ -226,12 +168,6 @@ let () =
     | "--cm" :: path :: rest ->
         cm_path := Some path;
         parse rest
-    | "--index" :: rest ->
-        index_mode := true;
-        parse rest
-    | "--index-p99-us" :: v :: rest ->
-        index_p99_us := float_of_string v;
-        parse rest
     | "--cm-scaling" :: v :: rest ->
         cm_scaling := float_of_string v;
         parse rest
@@ -253,16 +189,6 @@ let () =
   | None, Some path ->
       check_cm path ~scaling_bound:!cm_scaling
         ~abort_bound_pp:(Option.value ~default:1.0 !abort_tolerance)
-  | None, None when !index_mode -> (
-      match (!baseline_path, !current_path) with
-      | Some baseline_path, Some current_path ->
-          check_index ~baseline_path ~current_path ~p99_bound_us:!index_p99_us
-            ~tpmc_tolerance:!tpmc_tolerance
-      | _ ->
-          prerr_endline
-            "usage: bench_compare --index BASELINE.json CURRENT.json [--index-p99-us US] \
-             [--tpmc-tolerance PCT]";
-          exit 2)
   | None, None -> (
       match (!baseline_path, !current_path) with
   | Some baseline_path, Some current_path ->

@@ -625,23 +625,29 @@ let remove t ~key ~rid =
    never moves under a reader); leaf splits relocate entries, never
    messages.
 
-   Correctness of the read-side merge:
+   Correctness of the read-side merge ([ranges_grouped] is the only
+   reader):
      - replaying the full message list (applied residue included) over
        the leaf state is idempotent: messages apply last-writer-wins per
        (key, rid), and the residue was applied in the same order it is
        replayed in;
-     - applied messages are only *purged* from the cell [purge_grace_ns]
-       after they were applied, so a reader that fetches the stripe cell
-       first and walks the leaves afterwards can never miss an entry: a
-       message missing from the stripe was either not yet appended
-       (outside the reader's snapshot) or applied before the stripe
-       reply — and therefore in every leaf copy the reader fetches after
-       it;
-     - the batched point-lookup path reads stripe and leaf cells in ONE
-       round trip (no ordering between them), which is safe only while
-       the request's read window stays under [merge_guard_ns] <
-       [purge_grace_ns]; a window that overruns the guard falls back to
-       the ordered slow path. *)
+     - stripes strictly before leaves is always safe: a message missing
+       from the stripe reply was either not yet appended (outside the
+       reader's snapshot) or applied before that reply — and therefore in
+       every leaf copy fetched after it.  Right-walked leaves always
+       arrive after the stripe reply;
+     - the first leaf of each range rides in the SAME multi-get as the
+       stripes, unordered.  Applied messages are only purged from the
+       cell [purge_grace_ns] after their apply, so a message missing from
+       the stripe copy was applied more than the grace before it — the
+       leaf copy, fetched within the same request window, sees the apply
+       as long as that window stays under the grace.  Hence the single
+       inequality the merge rests on:
+
+           merge_guard_ns < purge_grace_ns
+
+       and a first hop whose window overran [merge_guard_ns] is redone
+       in the safe order. *)
 
 type batch_op = Add of entry | Del of entry
 
@@ -650,13 +656,13 @@ let batch_target = function Add e | Del e -> e
 let entry_compare (k1, r1) (k2, r2) =
   match String.compare k1 k2 with 0 -> Int.compare r1 r2 | c -> c
 
-(* Calibration (DESIGN.md §3b): the grace must dwarf any single read
-   request's service spread so the one-round-trip lookup path can trust
-   its piggybacked stripe cells; at TPC-C rates the applied residue the
-   grace retains is a handful of messages per stripe (~30 bytes each),
-   so a generous grace costs almost nothing on the read path, while a
-   tight one cascades every slow read batch into per-key ordered
-   lookups. *)
+(* Calibration (DESIGN.md §3b): the guard must dwarf any single read
+   request's service spread so the first hop can trust its piggybacked
+   stripe cells, and the grace must exceed the guard; at TPC-C rates the
+   applied residue the grace retains is a handful of messages per stripe
+   (~30 bytes each), so a generous grace costs almost nothing on the
+   read path, while a tight guard cascades every slow first hop into
+   ordered reads. *)
 let purge_grace_ns = 5_000_000
 let merge_guard_ns = 2_000_000
 let bulk_stripe_target = 16
@@ -731,35 +737,25 @@ let stripe_of t key =
 
 let buffer_key t stripe = Keys.index_buffer ~index:t.name ~stripe
 
-(* All pending messages of the stripes overlapping [lo, hi), restricted
-   to the range, oldest first — fetched with one multi-get.  Callers must
-   fetch these BEFORE walking the leaves (see the ordering argument
-   above). *)
-let pending_for_range t ~lo ~hi =
-  if !skip_buffer_merge then []
-  else begin
-    let bounds = stripe_bounds t in
-    let n = Array.length bounds in
-    let lo_s = stripe_of t lo in
-    let hi_s =
-      let rec scan i = if i >= n || hi <= bounds.(i) then i else scan (i + 1) in
-      scan lo_s
-    in
-    let cells =
-      Kv.Client.multi_get t.kv
-        (List.init (hi_s - lo_s + 1) (fun i -> buffer_key t (lo_s + i)))
-    in
-    List.concat_map
-      (function
-        | Some (data, _) ->
-            List.filter
-              (fun op ->
-                let k, _ = batch_target op in
-                k >= lo && k < hi)
-              (decode_stripe data).msgs
-        | None -> [])
-      cells
-  end
+(* Store keys of the stripe cells overlapping [lo, hi), in key order. *)
+let stripe_keys t ~lo ~hi =
+  let bounds = stripe_bounds t in
+  let n = Array.length bounds in
+  let lo_s = stripe_of t lo in
+  let hi_s =
+    let rec scan i = if i >= n || hi <= bounds.(i) then i else scan (i + 1) in
+    scan lo_s
+  in
+  List.init (hi_s - lo_s + 1) (fun i -> buffer_key t (lo_s + i))
+
+let cell_msgs = function Some (data, _) -> (decode_stripe data).msgs | None -> []
+
+let msgs_in_range ~lo ~hi msgs =
+  List.filter
+    (fun op ->
+      let k, _ = batch_target op in
+      k >= lo && k < hi)
+    msgs
 
 (* Replay [msgs] (oldest first, applied residue included) over the
    leaf-level entries of [lo, hi): last message per (key, rid) wins. *)
@@ -782,121 +778,47 @@ let merge_pending leaf_entries msgs =
 
 (* --- scans ------------------------------------------------------------------ *)
 
-let rec collect_range t ~lo ~hi ~limit acc (node : node) =
+(* Leaf entries of [lo, hi) from [node] rightwards, newest first. *)
+let rec collect_range t ~lo ~hi acc (node : node) =
   match node with
   | Inner _ -> invalid_arg "Btree.collect_range: inner node at leaf level"
-  | Leaf { entries; high_key; next; _ } ->
+  | Leaf { entries; high_key; next } -> (
       let acc =
         Array.fold_left
           (fun acc (k, rid) -> if k >= lo && k < hi then (k, rid) :: acc else acc)
           acc entries
       in
-      let enough = limit > 0 && List.length acc >= limit in
-      let continue_right =
-        (not enough) && (match high_key with Some (hk, _) -> hk < hi | None -> false)
-      in
-      if continue_right then begin
-        match next with
-        | Some n ->
-            let node', _ = load_node t n in
-            collect_range t ~lo ~hi ~limit acc node'
-        | None -> acc
-      end
-      else acc
+      match (high_key, next) with
+      | Some (hk, _), Some n when hk < hi -> collect_range t ~lo ~hi acc (fst (load_node t n))
+      | _ -> acc)
 
 (* Leaf-level entries of [lo, hi) only — pending buffer messages are the
    caller's business (and must already have been fetched, see
-   [pending_for_range]). *)
-let rec leaf_range t ~lo ~hi ~limit =
+   [range_ordered]). *)
+let rec leaf_range t ~lo ~hi =
   match
     let _, node, _, _ = locate_leaf t (lo, min_int) in
-    List.rev (collect_range t ~lo ~hi ~limit [] node)
+    List.rev (collect_range t ~lo ~hi [] node)
   with
   | exception Retry ->
       (* The right-walk crossed a leaf deleted by a concurrent split
          loser's cleanup: restart the scan from a fresh root. *)
       invalidate_cache t;
-      leaf_range t ~lo ~hi ~limit
+      leaf_range t ~lo ~hi
   | all -> all
 
-(* Stripes strictly before leaves — the unconditional safe order: a
-   message purged from a stripe cell was applied before the stripe read
-   returned, so the later leaf fetch sees its effect. *)
-let range_limit_ordered t ~lo ~hi ~limit =
-  let msgs = pending_for_range t ~lo ~hi in
-  (* Pending deletes may shrink the leaf harvest below [limit]: widen
-     the leaf walk by the message count so the post-merge truncation is
-     the only one that binds. *)
-  let eff_limit = if limit > 0 && msgs <> [] then limit + List.length msgs else limit in
-  let leaf = leaf_range t ~lo ~hi ~limit:eff_limit in
-  let merged = if msgs = [] then leaf else merge_pending leaf msgs in
-  if limit > 0 then List.filteri (fun i _ -> i < limit) merged else merged
-
-let range_limit t ~lo ~hi ~limit =
-  if hi <= lo then []
-  else if !skip_buffer_merge then begin
-    let leaf = leaf_range t ~lo ~hi ~limit in
-    if limit > 0 then List.filteri (fun i _ -> i < limit) leaf else leaf
-  end
-  else begin
-    (* Overlap the stripe fetch with the leaf walk so the buffer merge
-       costs no extra serialized round trip.  The ordering argument
-       stretches from "stripes before leaves" to a timing bound: a
-       message missing from the stripe reply was purged, hence applied
-       at least [purge_grace_ns] before that reply — it can only be
-       absent from a leaf copy fetched more than the grace earlier,
-       impossible while the whole overlapped window stays under
-       [merge_guard_ns] < [purge_grace_ns].  Overruns redo the ordered
-       path. *)
-    let engine = Kv.Cluster.engine (Kv.Client.cluster t.kv) in
-    let t0 = Tell_sim.Engine.now engine in
-    let pending = Tell_sim.Ivar.create engine in
-    Tell_sim.Engine.spawn engine (fun () ->
-        match pending_for_range t ~lo ~hi with
-        | msgs -> Tell_sim.Ivar.fill pending msgs
-        | exception e -> Tell_sim.Ivar.fill_exn pending e);
-    let leaf = leaf_range t ~lo ~hi ~limit in
-    let msgs = Tell_sim.Ivar.read pending in
-    if Tell_sim.Engine.now engine - t0 > merge_guard_ns then
-      range_limit_ordered t ~lo ~hi ~limit
-    else begin
-      let merged = if msgs = [] then leaf else merge_pending leaf msgs in
-      let take lst = List.filteri (fun i _ -> i < limit) lst in
-      (* A walk that stopped at [limit] harvested only a complete prefix
-         of the range: more leaf entries may exist to its right.  The
-         merge is then untrustworthy in two ways — pending deletes can
-         shrink it below [limit] (more disk entries must be walked to
-         refill), and a pending add sorting past the last walked entry
-         can slip into the returned prefix in place of unwalked disk
-         entries that sort before it (the merged COUNT alone cannot tell:
-         a delete and an add can cancel out).  Either way: rewalk
-         widened, now strictly after the stripe fetch (the safe order).
-         The widened walk is immune — it harvests [limit + |msgs|]
-         entries, so at least [limit] survivors come from the complete
-         prefix and any beyond-prefix add is truncated away. *)
-      let truncated = limit > 0 && List.length leaf >= limit in
-      let unsafe =
-        truncated
-        && (List.length merged < limit
-           ||
-           match List.rev leaf with
-           | last :: _ -> List.exists (fun e -> entry_compare e last > 0) (take merged)
-           | [] -> false)
-      in
-      if unsafe then begin
-        let leaf = leaf_range t ~lo ~hi ~limit:(limit + List.length msgs) in
-        let merged = if msgs = [] then leaf else merge_pending leaf msgs in
-        take merged
-      end
-      else if limit > 0 then take merged
-      else merged
-    end
-  end
-
-let range t ~lo ~hi = range_limit t ~lo ~hi ~limit:0
-
-let lookup t ~key =
-  List.map snd (range t ~lo:key ~hi:(key ^ "\x00"))
+(* The unconditional safe order: the stripe multi-get returns strictly
+   before the leaf walk starts (hence the [let]: argument evaluation
+   order is unspecified). *)
+let range_ordered t ~lo ~hi =
+  let msgs =
+    if !skip_buffer_merge then []
+    else
+      List.concat_map
+        (fun cell -> msgs_in_range ~lo ~hi (cell_msgs cell))
+        (Kv.Client.multi_get t.kv (stripe_keys t ~lo ~hi))
+  in
+  merge_pending (leaf_range t ~lo ~hi) msgs
 
 (* Route [target] to its leaf id using cached inner nodes only (inner
    levels are fetched at most once each, §5.3.1). *)
@@ -930,158 +852,120 @@ let shared_kv = function
         rest;
       Some t.kv
 
-(* Per-key buffer merge for the batched point-lookup path: replay the
-   stripe's messages for exactly [key] over the leaf rids. *)
-let merge_rids ~key rids msgs =
-  let status = Hashtbl.create 8 in
-  List.iter
-    (fun op ->
-      let k, rid = batch_target op in
-      if k = key then
-        Hashtbl.replace status rid (match op with Add _ -> true | Del _ -> false))
-    msgs;
-  if Hashtbl.length status = 0 then rids
-  else begin
-    let kept = List.filter (fun rid -> Hashtbl.find_opt status rid <> Some false) rids in
-    List.iter (fun rid -> Hashtbl.remove status rid) kept;
-    let adds = Hashtbl.fold (fun rid live acc -> if live then rid :: acc else acc) status [] in
-    match adds with [] -> kept | _ -> List.sort Int.compare (kept @ adds)
-  end
-
-let lookup_many_grouped groups =
+(* Every index read (§5.1 batching over §5.3.1 routing): each range's
+   first leaf is routed through the cached inner levels, and every first
+   leaf plus every stripe cell overlapping any range is fetched in ONE
+   multi-get — store keys are distinct across trees (the index name is
+   part of the key), so groups for several trees on one store client
+   share it.  That first hop is unordered, so it is trusted only when the
+   fetch took at most [merge_guard_ns] (the inequality of the §3d header
+   above); further leaves are right-walked after the stripe reply, the
+   safe order.  A routing miss, a first leaf that no longer covers [lo]
+   (it split), a [Retry] mid-walk or a guard overrun redoes the range
+   with [range_ordered].  One result per range, in input order, flattened
+   across groups. *)
+let ranges_grouped groups =
   match shared_kv groups with
   | None -> []
   | Some kv ->
       let engine = Kv.Cluster.engine (Kv.Client.cluster kv) in
-      (* Route every key of every tree to its leaf through the cached
-         inner levels; a routing failure falls back to the slow path. *)
-      let routed_groups =
-        List.map
-          (fun (t, keys) ->
-            ( t,
-              List.map
-                (fun key ->
-                  match leaf_id_for t (key, min_int) (root_id t) with
-                  | id -> (key, Some id)
-                  | exception Retry -> (key, None))
-                keys ))
+      let merge = not !skip_buffer_merge in
+      let ranges =
+        List.concat_map
+          (fun (t, ranges) ->
+            List.map
+              (fun (lo, hi) ->
+                let first =
+                  if hi <= lo then None
+                  else
+                    match leaf_id_for t (lo, min_int) (root_id t) with
+                    | id -> Some id
+                    | exception Retry -> None
+                in
+                (t, lo, hi, first))
+              ranges)
           groups
       in
-      (* One multi-get covering every routed leaf of every tree (store
-         keys are distinct across trees: the index name is part of the
-         node key). *)
-      let to_fetch =
-        let seen = Hashtbl.create 16 in
-        List.concat_map
-          (fun (t, routed) ->
-            List.filter_map
-              (fun (_, id) ->
-                match id with
-                | Some id ->
-                    let k = node_key t id in
-                    if Hashtbl.mem seen k then None
-                    else begin
-                      Hashtbl.replace seen k ();
-                      Some (t, id)
-                    end
-                | None -> None)
-              routed)
-          routed_groups
-      in
-      (* Piggyback the buffer stripes covering every key onto the same
-         round trip.  Leaf and stripe cells are read with no ordering
-         between them, so the merged result is only trusted while the
-         whole fetch fits in [merge_guard_ns] (< the purge grace): a
-         message can only be missing from both copies if it was purged
-         at least [purge_grace_ns] after its apply, which would put the
-         two reads more than a guard window apart. *)
-      let stripe_fetch =
-        if !skip_buffer_merge then []
-        else begin
-          let seen = Hashtbl.create 8 in
-          List.concat_map
-            (fun (t, routed) ->
-              List.filter_map
-                (fun (key, _) ->
-                  let k = buffer_key t (stripe_of t key) in
-                  if Hashtbl.mem seen k then None
-                  else begin
-                    Hashtbl.replace seen k ();
-                    Some k
-                  end)
-                routed)
-            routed_groups
+      let cells = Hashtbl.create 16 in
+      let fetch = ref [] in
+      let want key =
+        if not (Hashtbl.mem cells key) then begin
+          Hashtbl.replace cells key None;
+          fetch := key :: !fetch
         end
       in
-      let fetch_started = Tell_sim.Engine.now engine in
-      let cells =
-        Kv.Client.multi_get kv
-          (List.map (fun (t, id) -> node_key t id) to_fetch @ stripe_fetch)
+      List.iter
+        (fun (t, lo, hi, first) ->
+          Option.iter (fun id -> want (node_key t id)) first;
+          if merge && lo < hi then List.iter want (stripe_keys t ~lo ~hi))
+        ranges;
+      let fetch = List.rev !fetch in
+      let started = Tell_sim.Engine.now engine in
+      List.iter2 (Hashtbl.replace cells) fetch (Kv.Client.multi_get kv fetch);
+      let trusted = (not merge) || Tell_sim.Engine.now engine - started <= merge_guard_ns in
+      let decoded = Hashtbl.create 8 in
+      let stripe_msgs key =
+        match Hashtbl.find_opt decoded key with
+        | Some msgs -> msgs
+        | None ->
+            let msgs = cell_msgs (Hashtbl.find cells key) in
+            Hashtbl.replace decoded key msgs;
+            msgs
       in
-      let read_window = Tell_sim.Engine.now engine - fetch_started in
-      let leaf_cells, stripe_cells =
-        let rec split n = function
-          | rest when n = 0 -> ([], rest)
-          | cell :: rest ->
-              let l, s = split (n - 1) rest in
-              (cell :: l, s)
-          | [] -> ([], [])
-        in
-        split (List.length to_fetch) cells
+      let first_hop t ~lo ~hi id =
+        match Hashtbl.find cells (node_key t id) with
+        | Some (data, token) -> (
+            match memo_node t id ~data ~token with
+            | Leaf { high_key; _ } as leaf when below_high (lo, min_int) high_key -> (
+                match collect_range t ~lo ~hi [] leaf with
+                | acc -> Some (List.rev acc)
+                | exception Retry -> None)
+            | Leaf _ | Inner _ -> None)
+        | None -> None
       in
-      let leaves = Hashtbl.create 16 in
-      List.iter2
-        (fun (t, id) cell ->
-          match cell with
-          | Some (data, token) -> Hashtbl.replace leaves (node_key t id) (memo_node t id ~data ~token)
-          | None -> ())
-        to_fetch leaf_cells;
-      let stripes = Hashtbl.create 8 in
-      List.iter2
-        (fun k cell ->
-          Hashtbl.replace stripes k
-            (match cell with Some (data, _) -> (decode_stripe data).msgs | None -> []))
-        stripe_fetch stripe_cells;
-      let merge_ok = !skip_buffer_merge || read_window <= merge_guard_ns in
       List.map
-        (fun (t, routed) ->
-          List.map
-            (fun (key, leaf_id) ->
-              let fast =
-                match leaf_id with
-                | None -> None
-                | Some id -> (
-                    match Hashtbl.find_opt leaves (node_key t id) with
-                    | Some (Leaf { entries; high_key; _ })
-                      when below_high (key ^ "\x00", min_int) high_key ->
-                        (* The whole [key, key^\x00) range lies in this
-                           leaf: the batched copy is authoritative. *)
-                        Some
-                          (Array.to_list entries
-                          |> List.filter_map (fun (k, rid) -> if k = key then Some rid else None))
-                    | Some (Leaf _) | Some (Inner _) | None -> None)
-              in
-              match fast with
-              | Some rids when !skip_buffer_merge -> (key, rids)
-              | Some rids when merge_ok ->
+        (fun (t, lo, hi, first) ->
+          match first with
+          | _ when hi <= lo -> []
+          | Some id when trusted -> (
+              match first_hop t ~lo ~hi id with
+              | Some leaf ->
                   let msgs =
-                    Option.value ~default:[]
-                      (Hashtbl.find_opt stripes (buffer_key t (stripe_of t key)))
+                    if merge then
+                      List.concat_map
+                        (fun key -> msgs_in_range ~lo ~hi (stripe_msgs key))
+                        (stripe_keys t ~lo ~hi)
+                    else []
                   in
-                  (key, merge_rids ~key rids msgs)
-              | Some _ | None ->
-                  (* Stale cache, duplicate run spilling into the next
-                     leaf, a routing miss, or a fetch that overran the
-                     merge guard: authoritative slow path (stripe first,
-                     then leaves). *)
-                  (key, lookup t ~key))
-            routed)
-        routed_groups
+                  merge_pending leaf msgs
+              | None -> range_ordered t ~lo ~hi)
+          | Some _ | None -> range_ordered t ~lo ~hi)
+        ranges
 
-let lookup_many t ~keys =
-  match lookup_many_grouped [ (t, keys) ] with
-  | [ results ] -> results
-  | _ -> List.map (fun key -> (key, lookup t ~key)) keys
+let range t ~lo ~hi = List.concat (ranges_grouped [ (t, [ (lo, hi) ]) ])
+
+let lookup t ~key = List.map snd (range t ~lo:key ~hi:(key ^ "\x00"))
+
+let lookup_many_grouped groups =
+  let results =
+    ranges_grouped (List.map (fun (t, keys) -> (t, List.map (fun k -> (k, k ^ "\x00")) keys)) groups)
+  in
+  (* Re-nest the flat per-range results into the groups' shape. *)
+  let rec take keys results =
+    match (keys, results) with
+    | key :: keys, entries :: results ->
+        let mine, rest = take keys results in
+        ((key, List.map snd entries) :: mine, rest)
+    | _ -> ([], results)
+  in
+  snd
+    (List.fold_left_map
+       (fun results (_, keys) ->
+         let mine, rest = take keys results in
+         (rest, mine))
+       results groups)
+
+let lookup_many t ~keys = List.concat (lookup_many_grouped [ (t, keys) ])
 
 (* --- batched maintenance ------------------------------------------------------ *)
 
@@ -1245,12 +1129,9 @@ let rec batch_round ~rounds groups =
           batch_round ~rounds:(rounds - 1)
             (List.map (fun (t, _, retry, _) -> (t, !retry)) work))
 
-let insert_many_grouped groups =
-  List.iter (fun (t, _) -> if t.orphans <> [] then reclaim_orphans t) groups;
-  batch_round ~rounds:batch_rounds
-    (List.map (fun (t, entries) -> (t, List.map (fun e -> Add e) entries)) groups)
-
-let insert_many t ~entries = insert_many_grouped [ (t, entries) ]
+let insert_many t ~entries =
+  if t.orphans <> [] then reclaim_orphans t;
+  batch_round ~rounds:batch_rounds [ (t, List.map (fun e -> Add e) entries) ]
 
 let remove_many t ~entries =
   if t.orphans <> [] then reclaim_orphans t;
@@ -1307,15 +1188,10 @@ let enqueue_note meta results =
       | _ -> (t, stripe, 0))
     meta results
 
-let enqueue_many_grouped groups =
-  match enqueue_prepare groups with
-  | [], _ -> []
-  | ops, meta -> (
-      match shared_kv (List.filter (fun (_, o) -> o <> []) groups) with
-      | None -> []
-      | Some kv -> enqueue_note meta (Kv.Client.multi_write kv ops))
-
-let enqueue_many t ~ops = ignore (enqueue_many_grouped [ (t, ops) ])
+let enqueue_many t ~ops =
+  match enqueue_prepare [ (t, ops) ] with
+  | [], _ -> ()
+  | appends, _ -> ignore (Kv.Client.multi_write t.kv appends)
 
 let drop_msgs n msgs =
   let rec go n msgs = if n <= 0 then msgs else match msgs with [] -> [] | _ :: rest -> go (n - 1) rest in

@@ -43,32 +43,29 @@ val insert_many : t -> entries:(string * int) list -> unit
 val remove_many : t -> entries:(string * int) list -> unit
 (** Batched {!remove}; same strategy as {!insert_many}. *)
 
-val insert_many_grouped : (t * (string * int) list) list -> unit
-(** {!insert_many} over several trees at once.  All trees must be
-    attached to the same store client: the groups share the leaf
-    multi-get and the conditional multi-write, so one commit's index
-    maintenance across all its trees costs ~2 batched round trips
-    total. *)
+(** {1 Reads}
+
+    All reads share one path: the cached inner levels route each range's
+    first leaf, and every first leaf plus the buffer stripes overlapping
+    the ranges (see below) are fetched in one batched store round trip;
+    a range spanning several leaves right-walks the rest.  A stale route
+    falls back to a full traversal. *)
+
+val range : t -> lo:string -> hi:string -> (string * int) list
+(** Entries with [lo <= key < hi], in key order. *)
 
 val lookup : t -> key:string -> int list
 (** All rids stored under exactly [key], ascending. *)
 
 val lookup_many : t -> keys:string list -> (string * int list) list
 (** Point lookups for many keys with (at most) one batched store round
-    trip: the cached inner levels route every key to its leaf, the leaves
-    are fetched together, and only keys whose leaf turned out stale fall
-    back to individual traversals.  Results are in input order. *)
+    trip.  Results are in input order. *)
 
 val lookup_many_grouped : (t * string list) list -> (string * int list) list list
 (** [lookup_many] generalised across several trees attached to the same
-    store client: all routed leaves of all groups are fetched in one
-    multi-get, so a transaction's point lookups across many indexes cost
-    one batched round trip total.  The result mirrors the input shape. *)
-
-val range : t -> lo:string -> hi:string -> (string * int) list
-(** Entries with [lo <= key < hi], in key order. *)
-
-val range_limit : t -> lo:string -> hi:string -> limit:int -> (string * int) list
+    store client: all of them share the one multi-get, so a transaction's
+    point lookups across many indexes cost one batched round trip total.
+    The result mirrors the input shape. *)
 
 (** {1 Bε message buffers (§3d)}
 
@@ -82,23 +79,20 @@ val range_limit : t -> lo:string -> hi:string -> limit:int -> (string * int) lis
 
 type batch_op = Add of (string * int) | Del of (string * int)
 
-val enqueue_many_grouped : (t * batch_op list) list -> (t * int * int) list
-(** Append each tree's messages to the buffer stripes covering their
-    keys: one blind multi-write round trip total, never a conflict, and
-    the acknowledgement makes the mutations durable (replicated like any
-    other cell).  All trees must share one store client.  Returns
-    [(tree, stripe, stripe cell bytes after the append)] so callers can
-    nudge the flusher at a size threshold. *)
-
 val enqueue_many : t -> ops:batch_op list -> unit
+(** Append the messages to the buffer stripes covering their keys: one
+    blind multi-write round trip, never a conflict, and the
+    acknowledgement makes the mutations durable (replicated like any
+    other cell). *)
 
 val enqueue_prepare : (t * batch_op list) list -> Tell_kv.Op.t list * (t * int) list
-(** The two halves of {!enqueue_many_grouped}, for callers that fuse the
-    stripe appends into a larger multi-write (the commit pipeline rides
-    them in the apply round trip): [enqueue_prepare] builds the blind
-    append ops plus aligned [(tree, stripe)] metadata without touching
-    the store; {!enqueue_note} maps the ops' results back to
-    [(tree, stripe, cell bytes)]. *)
+(** {!enqueue_many} split in two, for callers that fuse the stripe
+    appends of several trees into a larger multi-write (the commit
+    pipeline rides them in the apply round trip): [enqueue_prepare]
+    builds the blind append ops plus aligned [(tree, stripe)] metadata
+    without touching the store; {!enqueue_note} maps the ops' results
+    back to [(tree, stripe, cell bytes after the append)] so callers can
+    nudge the flusher at a size threshold. *)
 
 val enqueue_note : (t * int) list -> Tell_kv.Op.result list -> (t * int * int) list
 
@@ -119,13 +113,6 @@ val pending_messages : t -> int
 
 val stripe_count : t -> int
 val stripe_of : t -> string -> int
-
-val purge_grace_ns : int
-(** Applied messages stay in the stripe cell at least this long before
-    being purged — the slack that makes single-round-trip merged reads
-    sound (see [merge_guard_ns] < [purge_grace_ns]). *)
-
-val merge_guard_ns : int
 
 val unsafe_set_skip_buffer_merge : bool -> unit
 (** Harness mutant: make reads ignore pending buffer messages, so a

@@ -1,7 +1,7 @@
 (* Background Bε buffer flusher (§3d).
 
    One fiber on the management group applies the secondary indexes'
-   buffered messages ([Btree.enqueue_many_grouped]) to the leaves in
+   buffered messages ([Btree.enqueue_prepare]) to the leaves in
    bulk, keeping the commit path down to one blind append per stripe.
    Correctness never depends on it running — every read path merges
    pending messages — so the flusher only bounds stripe-cell growth and

@@ -73,7 +73,7 @@ type t = {
          node, so it must stop — a poisoned zombie never serves again *)
 }
 
-let commit_phases = [ "begin"; "read"; "log"; "apply"; "index"; "notify" ]
+let commit_phases = [ "begin"; "read"; "log"; "apply"; "notify" ]
 
 let rid_range_size = 64
 

@@ -87,7 +87,7 @@ val charge : t -> int -> unit
 
 val commit_phases : string list
 (** The transaction pipeline's phase names: begin, read, log, apply,
-    index, notify. *)
+    notify.  Index maintenance rides in apply (§3d). *)
 
 val commit_stats : t -> Tell_sim.Stats.Breakdown.t
 (** Per-phase latency/operation breakdown of this PN's commit pipeline. *)

@@ -624,7 +624,14 @@ let commit_applied t ~entry ~writes ~now ~t_apply =
   match apply_writes t writes with
   | `Conflict -> finish_abort t "store-conditional failed"
   | `Applied ->
-      Pn.note_commit_phase t.pn ~phase:"apply" ~ops:(List.length writes) (now () - t_apply);
+      (* The apply phase also carries the commit's index maintenance: its
+         stripe appends rode in the same multi-write (§3d). *)
+      let n_index_entries =
+        List.fold_left (fun acc (_, w) -> acc + List.length w.w_index_adds) 0 writes
+      in
+      Pn.note_commit_phase t.pn ~phase:"apply"
+        ~ops:(List.length writes + n_index_entries)
+        (now () - t_apply);
       if t.isolation = Serializable && not (validate_read_set t) then begin
         (* A record we depended on changed: undo our applied writes. *)
         List.iter
@@ -633,14 +640,6 @@ let commit_applied t ~entry ~writes ~now ~t_apply =
         finish_abort t "serializable read validation failed"
       end
       else begin
-        (* The index phase is all but gone: its stripe appends rode in
-           the apply multi-write above, so the sample records only the
-           residual local bookkeeping (§3d). *)
-        let t_index = now () in
-        let n_entries =
-          List.fold_left (fun acc (_, w) -> acc + List.length w.w_index_adds) 0 writes
-        in
-        Pn.note_commit_phase t.pn ~phase:"index" ~ops:n_entries (now () - t_index);
         (* The synchronous pipeline ends here (§4.3 step 4a is done):
            flagging the log entry and telling the commit manager are
            deferred to the PN's notifier, which coalesces them with

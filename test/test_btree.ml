@@ -144,7 +144,7 @@ let test_bulk_matches_incremental () =
       Btree.check_invariants tree;
       Alcotest.(check (list int)) "insert after bulk" [ 1 ] (Btree.lookup tree ~key:"key99999"))
 
-let test_range_limit () =
+let test_range_prefix () =
   with_cluster (fun _engine cluster ->
       let kv = client cluster in
       Btree.create kv ~name:"lim";
@@ -152,10 +152,11 @@ let test_range_limit () =
       for i = 1 to 500 do
         Btree.insert tree ~key:(Printf.sprintf "k%04d" i) ~rid:i
       done;
-      let first_10 = Btree.range_limit tree ~lo:"" ~hi:"\xff" ~limit:10 in
-      Alcotest.(check int) "limit honoured" 10 (List.length first_10);
+      let first_10 = Btree.range tree ~lo:"" ~hi:"k0011" in
+      Alcotest.(check int) "bound honoured" 10 (List.length first_10);
       Alcotest.(check (pair string int)) "first entry" ("k0001", 1)
-        (match first_10 with e :: _ -> e | [] -> Alcotest.fail "empty"))
+        (match first_10 with e :: _ -> e | [] -> Alcotest.fail "empty");
+      Alcotest.(check int) "empty range" 0 (List.length (Btree.range tree ~lo:"k0300" ~hi:"k0300")))
 
 let test_lookup_many () =
   with_cluster (fun _engine cluster ->
@@ -398,7 +399,7 @@ let test_buffered_matches_direct () =
     [ 11; 23 ]
 
 (* Every read path against a half-flushed tree: one stripe applied, the
-   others still pending.  lookup, lookup_many, and range_limit must all
+   others still pending.  lookup, lookup_many, and range must all
    merge; the skip-merge mutant must expose the stale leaves; a full
    flush converges the two views. *)
 let test_half_flushed_reads () =
@@ -420,12 +421,10 @@ let test_half_flushed_reads () =
         (Btree.lookup tree ~key:"h01500");
       Alcotest.(check (list int)) "pending add merges with the leaf" [ 1900; 9999 ]
         (Btree.lookup tree ~key:"h01900");
-      (* The pending delete shrinks a limit-bound harvest: the widened
-         rewalk must refill to the limit from the right. *)
       Alcotest.(check (list (pair string int)))
-        "range_limit merges the delete"
+        "range merges the delete"
         [ ("h01499", 1499); ("h01501", 1501) ]
-        (Btree.range_limit tree ~lo:"h01499" ~hi:"h01502" ~limit:2);
+        (Btree.range tree ~lo:"h01499" ~hi:"h01502");
       (match Btree.lookup_many tree ~keys:[ "h01500"; "h01900" ] with
       | [ (_, a); (_, b) ] ->
           Alcotest.(check (list int)) "lookup_many merges the delete" [] a;
@@ -448,12 +447,11 @@ let test_half_flushed_reads () =
       Alcotest.(check (list int)) "after flush: add applied" [ 1900; 9999 ]
         (Btree.lookup tree ~key:"h01900"))
 
-(* Regression: a limit-truncated walk with a pending delete of a walked
-   entry AND a pending add sorting past the last walked entry used to
-   skip the widened rewalk (the merged count stayed exactly at [limit])
-   and return the add in place of unwalked disk entries sorting before
-   it. *)
-let test_range_limit_del_add_cancel () =
+(* A pending delete in the first leaf and a pending add past the last
+   leaf cancel out in the entry count: a full-tree range must still hide
+   the deleted entry and append the added one — the first hop's merge
+   and the right-walk's leaves meet in one result. *)
+let test_range_del_add_cancel () =
   with_cluster (fun _engine cluster ->
       let kv = client cluster in
       let entries = List.init 2_000 (fun i -> (Printf.sprintf "r%05d" i, i)) in
@@ -462,24 +460,75 @@ let test_range_limit_del_add_cancel () =
         (Btree.bulk_cells ~name:"rlim" ~entries);
       let tree = Btree.attach kv ~name:"rlim" in
       Btree.enqueue_many tree ~ops:[ Btree.Del ("r00001", 1); Btree.Add ("r99999", 1) ];
-      (* [limit] = one bulk leaf (48 entries): the walk truncates exactly
-         at the first leaf boundary, the delete hits a walked entry and
-         the add sorts past every disk entry — so the post-merge count
-         alone cannot tell that the result is wrong. *)
-      let limit = 48 in
-      let expected =
-        List.filteri (fun i _ -> i < limit) (List.filter (fun (k, _) -> k <> "r00001") entries)
-      in
       Alcotest.(check (list (pair string int)))
-        "del/add cancel out: rewalk refills from the right, add truncated away" expected
-        (Btree.range_limit tree ~lo:"" ~hi:"s" ~limit);
-      (* An add inside the walked prefix needs no rewalk: it merges in
-         place and the truncation stays correct. *)
+        "deleted entry hidden, added entry last"
+        (List.filter (fun (k, _) -> k <> "r00001") entries @ [ ("r99999", 1) ])
+        (Btree.range tree ~lo:"" ~hi:"s");
       Btree.enqueue_many tree ~ops:[ Btree.Add ("r00000a", 7) ];
       Alcotest.(check (list (pair string int)))
-        "in-prefix add merges in place"
+        "in-leaf add merges in place"
         [ ("r00000", 0); ("r00000a", 7); ("r00002", 2) ]
-        (Btree.range_limit tree ~lo:"" ~hi:"s" ~limit:3))
+        (Btree.range tree ~lo:"" ~hi:"r00003"))
+
+(* The first hop plus right-walk against a sorted-assoc model: a
+   bulk-loaded, duplicate-heavy tree spanning many leaves and stripes,
+   one stripe flushed and the others pending.  Random ranges cross leaf
+   and stripe boundaries (duplicate runs straddle leaves, so routing
+   must compare full (key, rid) entries), and point lookups — single
+   and batched, with repeated and absent keys — must match the model. *)
+let test_reads_vs_model () =
+  with_cluster (fun _engine cluster ->
+      let kv = client cluster in
+      let key i = Printf.sprintf "d%03d" i in
+      (* 40 keys x 50 rids: every duplicate run is longer than a leaf. *)
+      let entries = List.init 2_000 (fun i -> (key (i / 50), i mod 50 * 2)) in
+      List.iter
+        (fun (key, data) -> Kv.Cluster.poke cluster ~key ~data)
+        (Btree.bulk_cells ~name:"rmodel" ~entries);
+      let tree = Btree.attach kv ~name:"rmodel" in
+      Alcotest.(check bool) "several stripes" true (Btree.stripe_count tree > 4);
+      let rng = Random.State.make [| 2015 |] in
+      let model = ref (List.sort compare entries) in
+      let ops =
+        List.init 300 (fun _ ->
+            let e = (key (Random.State.int rng 42), Random.State.int rng 110) in
+            if Random.State.bool rng then Btree.Add e else Btree.Del e)
+      in
+      Btree.enqueue_many tree ~ops;
+      List.iter
+        (function
+          | Btree.Add e -> if not (List.mem e !model) then model := List.sort compare (e :: !model)
+          | Btree.Del e -> model := List.filter (( <> ) e) !model)
+        ops;
+      ignore (Btree.flush_stripe tree ~stripe:(Btree.stripe_of tree (key 20)));
+      Alcotest.(check bool) "other stripes still pending" true (Btree.pending_messages tree > 0);
+      let bound () =
+        (* Exact keys, points between keys, and both ends of the space. *)
+        match Random.State.int rng 6 with
+        | 0 -> ""
+        | 1 -> "\xff"
+        | 2 -> key (Random.State.int rng 42) ^ "m"
+        | _ -> key (Random.State.int rng 42)
+      in
+      for i = 1 to 60 do
+        let a = bound () and b = bound () in
+        let lo, hi = if a <= b then (a, b) else (b, a) in
+        Alcotest.(check (list (pair string int)))
+          (Printf.sprintf "range %d [%S, %S)" i lo hi)
+          (List.filter (fun (k, _) -> lo <= k && k < hi) !model)
+          (Btree.range tree ~lo ~hi)
+      done;
+      let rids k = List.filter_map (fun (k', r) -> if k' = k then Some r else None) !model in
+      for i = 0 to 41 do
+        Alcotest.(check (list int)) ("lookup " ^ key i) (rids (key i)) (Btree.lookup tree ~key:(key i))
+      done;
+      for round = 1 to 10 do
+        let keys = List.init 12 (fun _ -> key (Random.State.int rng 44)) in
+        Alcotest.(check (list (pair string (list int))))
+          (Printf.sprintf "lookup_many round %d" round)
+          (List.map (fun k -> (k, rids k)) keys)
+          (Btree.lookup_many tree ~keys)
+      done)
 
 let test_duplicate_keys () =
   with_cluster (fun _engine cluster ->
@@ -576,7 +625,7 @@ let () =
           Alcotest.test_case "splits under sequential load" `Quick test_many_inserts_split;
           Alcotest.test_case "concurrent inserts (latch-free)" `Quick test_concurrent_inserts;
           Alcotest.test_case "bulk build = incremental" `Quick test_bulk_matches_incremental;
-          Alcotest.test_case "range limit" `Quick test_range_limit;
+          Alcotest.test_case "range over a key prefix" `Quick test_range_prefix;
           Alcotest.test_case "duplicate keys" `Quick test_duplicate_keys;
           Alcotest.test_case "lookup_many batched" `Quick test_lookup_many;
           Alcotest.test_case "batched maintenance = sequential" `Quick
@@ -587,8 +636,10 @@ let () =
             test_buffered_matches_direct;
           Alcotest.test_case "half-flushed reads merge pending messages" `Quick
             test_half_flushed_reads;
-          Alcotest.test_case "truncated range_limit vs cancelling del/add messages" `Quick
-            test_range_limit_del_add_cancel;
+          Alcotest.test_case "range vs cancelling del/add messages" `Quick
+            test_range_del_add_cancel;
+          Alcotest.test_case "property: reads vs sorted-assoc model, half-flushed" `Quick
+            test_reads_vs_model;
           Alcotest.test_case "orphan reclamation after interrupted splits" `Quick
             test_orphan_reclaim;
           Alcotest.test_case "hot-leaf contention survives the attempt budget" `Quick

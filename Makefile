@@ -1,4 +1,4 @@
-.PHONY: all build test check examples-smoke audit bench bench-smoke clean
+.PHONY: all build test check examples-smoke audit bench bench-smoke bench-suite clean
 
 all: build
 
@@ -48,6 +48,11 @@ bench:
 bench-smoke:
 	dune exec bin/tell_bench.exe -- tell --pns 4 --rf 3 --json BENCH_current.json
 	dune exec bin/bench_compare.exe -- BENCH_commit.json BENCH_current.json
+
+# The repository benchmark (BENCHMARK.json): every workload at seed 42,
+# one JSON result line per workload.
+bench-suite:
+	bash bench/suite/run.sh --all --seed 42 --seconds 12 --trace 0
 
 clean:
 	dune clean

@@ -6,18 +6,15 @@
    - order-preserving encoding for index keys, where byte-wise
      lexicographic order must equal {!Value.compare} order. *)
 
-let put_int64 buf v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 v;
-  Buffer.add_bytes buf b
+let put_int64 buf v = Buffer.add_int64_le buf v
 
 let get_int64 s pos = (String.get_int64_le s pos, pos + 8)
 
-let put_int buf v = put_int64 buf (Int64.of_int v)
+let put_int buf v = Buffer.add_int64_le buf (Int64.of_int v)
 
-let get_int s pos =
-  let v, pos = get_int64 s pos in
-  (Int64.to_int v, pos)
+(* Reads the primitive directly: going through [get_int64] would box the
+   intermediate [Int64] in its result pair. *)
+let get_int s pos = (Int64.to_int (String.get_int64_le s pos), pos + 8)
 
 let put_string buf s =
   put_int buf (String.length s);
@@ -56,10 +53,13 @@ let get_value s pos : Value.t * int =
       (Str str, pos)
   | c -> invalid_arg (Printf.sprintf "Codec.get_value: bad tag %C" c)
 
-let encode_tuple (tuple : Value.t array) =
-  let buf = Buffer.create 64 in
+let put_tuple buf (tuple : Value.t array) =
   put_int buf (Array.length tuple);
-  Array.iter (put_value buf) tuple;
+  Array.iter (put_value buf) tuple
+
+let encode_tuple tuple =
+  let buf = Buffer.create 64 in
+  put_tuple buf tuple;
   Buffer.contents buf
 
 let decode_tuple s pos : Value.t array * int =
@@ -89,10 +89,7 @@ let decode_tuple s pos : Value.t array * int =
    with "\x00\x00" so that prefixes sort first and embedded zero bytes
    stay ordered. *)
 
-let add_be_int64 buf v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_be b 0 v;
-  Buffer.add_bytes buf b
+let add_be_int64 buf v = Buffer.add_int64_be buf v
 
 let add_key_int buf i =
   add_be_int64 buf (Int64.logxor (Int64.of_int i) Int64.min_int)

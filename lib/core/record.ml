@@ -68,7 +68,7 @@ let encode t =
       | Tombstone -> Buffer.add_char buf '\x00'
       | Tuple tuple ->
           Buffer.add_char buf '\x01';
-          Buffer.add_string buf (Codec.encode_tuple tuple))
+          Codec.put_tuple buf tuple)
     t;
   Buffer.contents buf
 

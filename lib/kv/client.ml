@@ -91,8 +91,9 @@ let refresh_directory t =
   t.cached_masters <- snapshot
 
 (* Synchronously replicate the effective writes of a batch to the backups
-   of each partition involved (ROWA, §4.4.2).  Backups are contacted in
-   parallel; the master's reply to the client waits for every ack.
+   of each partition involved (ROWA, §4.4.2).  The calling fiber writes
+   the backups one after the other (see the cost comment below); the
+   master's reply to the client waits for every ack.
 
    Writes ship to the {e union} of the chain captured at apply time
    ([chains]) and the live directory chain: the captured one guarantees a

@@ -325,13 +325,29 @@ let set_pushdown_evaluator t evaluate =
   t.evaluator <- Some evaluate;
   Array.iter (fun node -> Storage_node.set_evaluator node evaluate) t.nodes
 
-let poke t ~key ~data =
-  let p = Directory.partition_of_key t.directory key in
-  List.iter
-    (fun sn_id -> Storage_node.load t.nodes.(sn_id) [ (key, data, 1) ])
-    (Directory.replicas t.directory p)
+(* Two passes over [cells]: count the cells each node will hold, so empty
+   nodes create their tables at the final size, then install in order. *)
+let install_cells t cells =
+  let per_partition = Array.make (Directory.n_partitions t.directory) 0 in
+  Seq.iter
+    (fun (key, _) ->
+      let p = Directory.partition_of_key t.directory key in
+      per_partition.(p) <- per_partition.(p) + 1)
+    cells;
+  let per_node = Array.make (Array.length t.nodes) 0 in
+  Array.iteri
+    (fun p n ->
+      List.iter (fun sn_id -> per_node.(sn_id) <- per_node.(sn_id) + n) (Directory.replicas t.directory p))
+    per_partition;
+  Array.iteri (fun sn_id n -> Storage_node.reserve t.nodes.(sn_id) n) per_node;
+  Seq.iter
+    (fun (key, data) ->
+      List.iter
+        (fun sn_id -> Storage_node.install t.nodes.(sn_id) key data ~token:1)
+        (Directory.replicas t.directory (Directory.partition_of_key t.directory key)))
+    cells
 
-let poke_counter t ~key ~value = poke t ~key ~data:(Storage_node.encode_counter value)
+let poke t ~key ~data = install_cells t (Seq.return (key, data))
 
 let peek t ~key =
   let p = Directory.partition_of_key t.directory key in

@@ -176,12 +176,16 @@ val set_pushdown_evaluator :
   t -> (program:string -> key:Op.key -> data:string -> string option) -> unit
 (** Install the §5.2 push-down evaluator on every storage node. *)
 
-val poke : t -> key:Op.key -> data:string -> unit
-(** Install a cell on its master and all backups {e without} consuming
-    virtual time or resources — the bulk-load path for benchmark
-    populations.  Must not be used while the simulation is processing
-    requests for the same keys. *)
+val install_cells : t -> (Op.key * string) Seq.t -> unit
+(** Install every cell, in order, on its master and all backups {e without}
+    consuming virtual time or resources — the bulk-load path for benchmark
+    populations.  [cells] is traversed twice: once to count the cells per
+    node, so that an empty node creates its table at its final size
+    ({!Storage_node.reserve}), then to install them.  Must not be used
+    while the simulation is processing requests for the same keys. *)
 
-val poke_counter : t -> key:Op.key -> value:int -> unit
+val poke : t -> key:Op.key -> data:string -> unit
+(** {!install_cells} of one cell. *)
+
 val peek : t -> key:Op.key -> string option
 (** Zero-time read from the master copy (for checks in tests). *)

@@ -1,11 +1,24 @@
 type cell = { mutable data : string; mutable token : int }
 
+(* The cell table.  [Hashtbl.hash] is the hash the polymorphic table uses,
+   so bucket indices — and with them the iteration order that [snapshot]
+   and [set_ownership] observe — are those of a plain [Hashtbl];
+   [String.equal] replaces polymorphic compare on lookups. *)
+module Cells = Hashtbl.Make (struct
+  type t = Op.key
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+let initial_buckets = 4096
+
 type t = {
   engine : Tell_sim.Engine.t;
   id : int;
   group : Tell_sim.Engine.Group.t;
   cpu : Tell_sim.Resource.t;
-  cells : (Op.key, cell) Hashtbl.t;
+  mutable cells : cell Cells.t;
   mutable bytes_stored : int;
   capacity_bytes : int;
   base_service_ns : int;
@@ -80,7 +93,7 @@ let create engine ~id ~cores ~capacity_bytes ~base_service_ns ~per_byte_service_
     id;
     group = Tell_sim.Engine.make_group engine label;
     cpu = Tell_sim.Resource.create engine ~servers:cores label;
-    cells = Hashtbl.create 4096;
+    cells = Cells.create initial_buckets;
     bytes_stored = 0;
     capacity_bytes;
     base_service_ns;
@@ -123,7 +136,7 @@ let crash t =
    candidate backup; the directory no longer routes to it until the
    management node picks it for a future repair. *)
 let restart t =
-  Hashtbl.reset t.cells;
+  t.cells <- Cells.create initial_buckets;
   Hashtbl.reset t.replays;
   Queue.clear t.replay_order;
   (* Ownership is forgotten with the data: the node claims no partitions
@@ -167,7 +180,7 @@ let check_capacity t key ~old_data ~new_data =
     raise (Op.Capacity_exceeded t.id)
 
 let store t key data =
-  match Hashtbl.find_opt t.cells key with
+  match Cells.find_opt t.cells key with
   | Some cell ->
       check_capacity t key ~old_data:(Some cell.data) ~new_data:data;
       account_put t key ~old_data:(Some cell.data) ~new_data:data;
@@ -177,15 +190,15 @@ let store t key data =
   | None ->
       check_capacity t key ~old_data:None ~new_data:data;
       account_put t key ~old_data:None ~new_data:data;
-      Hashtbl.replace t.cells key { data; token = 1 };
+      Cells.add t.cells key { data; token = 1 };
       1
 
 let drop t key =
-  match Hashtbl.find_opt t.cells key with
+  match Cells.find_opt t.cells key with
   | None -> ()
   | Some cell ->
       t.bytes_stored <- t.bytes_stored - cell_bytes key cell.data;
-      Hashtbl.remove t.cells key
+      Cells.remove t.cells key
 
 (* Management-metadata sync: the node's view of which partitions it
    masters / holds, stamped with the epoch it was synced under.  Cells of
@@ -205,7 +218,7 @@ let set_ownership t ~epoch ~masters ~replicas ~partition_of =
   List.iter (fun p -> Hashtbl.replace t.replica_parts p ()) replicas;
   if lost <> [] then begin
     let doomed = ref [] in
-    Hashtbl.iter
+    Cells.iter
       (fun key _ -> if List.mem (partition_of key) lost then doomed := key :: !doomed)
       t.cells;
     List.iter (fun key -> drop t key) !doomed
@@ -236,21 +249,21 @@ let encode_int v =
 let execute t (op : Op.t) : Op.result =
   match op with
   | Get key -> (
-      match Hashtbl.find_opt t.cells key with
+      match Cells.find_opt t.cells key with
       | Some cell -> Value (Some (cell.data, cell.token))
       | None -> Value None)
   | Put (key, data) ->
       let _ = store t key data in
       Done
   | Put_if (key, expected, data) -> (
-      match (Hashtbl.find_opt t.cells key, expected) with
+      match (Cells.find_opt t.cells key, expected) with
       | None, None -> Token (store t key data)
       | None, Some _ -> Conflict
       | Some _, None -> Conflict
       | Some cell, Some token ->
           if cell.token = token then Token (store t key data) else Conflict)
   | Remove (key, expected) -> (
-      match (Hashtbl.find_opt t.cells key, expected) with
+      match (Cells.find_opt t.cells key, expected) with
       | None, _ -> Done
       | Some _, None ->
           drop t key;
@@ -262,7 +275,7 @@ let execute t (op : Op.t) : Op.result =
           end
           else Conflict)
   | Append (key, suffix) -> (
-      match Hashtbl.find_opt t.cells key with
+      match Cells.find_opt t.cells key with
       | Some cell ->
           let data = cell.data ^ suffix in
           check_capacity t key ~old_data:(Some cell.data) ~new_data:data;
@@ -274,7 +287,7 @@ let execute t (op : Op.t) : Op.result =
           let token = store t key suffix in
           Appended (suffix, token))
   | Increment (key, by) -> (
-      match Hashtbl.find_opt t.cells key with
+      match Cells.find_opt t.cells key with
       | Some cell -> (
           match decode_int cell.data with
           | Some v ->
@@ -288,10 +301,9 @@ let execute t (op : Op.t) : Op.result =
           Count (by, token))
   | Scan prefix ->
       let matches = ref [] in
-      let plen = String.length prefix in
-      Hashtbl.iter
+      Cells.iter
         (fun key cell ->
-          if String.length key >= plen && String.sub key 0 plen = prefix then
+          if String.starts_with ~prefix key then
             matches := (key, cell.data, cell.token) :: !matches)
         t.cells;
       Keys (List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) !matches)
@@ -300,10 +312,9 @@ let execute t (op : Op.t) : Op.result =
       | None -> invalid_arg "Storage_node: no push-down evaluator registered"
       | Some evaluate ->
           let matches = ref [] in
-          let plen = String.length prefix in
-          Hashtbl.iter
+          Cells.iter
             (fun key cell ->
-              if String.length key >= plen && String.sub key 0 plen = prefix then
+              if String.starts_with ~prefix key then
                 match evaluate ~program ~key ~data:cell.data with
                 | Some projected -> matches := (key, projected, cell.token) :: !matches
                 | None -> ())
@@ -349,10 +360,10 @@ let apply t ?sender op =
     match op with
     | Op.Scan _ ->
         (* A scan walks the whole partition: charge per cell visited. *)
-        Hashtbl.length t.cells * 4
+        Cells.length t.cells * 4
     | Op.Scan_eval _ ->
         (* Push-down pays scan plus per-cell evaluation. *)
-        Hashtbl.length t.cells * 10
+        Cells.length t.cells * 10
     | op -> Op.request_bytes op
   in
   charge t bytes;
@@ -381,11 +392,11 @@ let install_replica t (op : Op.t) (outcome : Op.result) =
          fail-over — but never step a cell backwards: a chain write
          that was mastered before a migration cutover and lands after
          it must not clobber what the new master wrote since. *)
-      match Hashtbl.find_opt t.cells key with
+      match Cells.find_opt t.cells key with
       | Some cell when cell.token >= token -> ()
       | _ ->
           let _ = store t key data in
-          (match Hashtbl.find_opt t.cells key with
+          (match Cells.find_opt t.cells key with
           | Some cell -> cell.token <- token
           | None -> ()))
   | Put (key, data), _ ->
@@ -397,11 +408,11 @@ let install_replica t (op : Op.t) (outcome : Op.result) =
          back allocation ranges (tids, rids), so a delayed replicate
          stepping one backwards on a future master re-issues ranges
          already handed out. *)
-      match Hashtbl.find_opt t.cells key with
+      match Cells.find_opt t.cells key with
       | Some cell when cell.token >= token -> ()
       | _ ->
           let _ = store t key (encode_int v) in
-          (match Hashtbl.find_opt t.cells key with
+          (match Cells.find_opt t.cells key with
           | Some cell -> cell.token <- token
           | None -> ()))
   | Append (key, _), Appended (data, token) -> (
@@ -409,11 +420,11 @@ let install_replica t (op : Op.t) (outcome : Op.result) =
          it whole under the master's token.  Appends to the same cell are
          serialized by the master, so the monotone-token guard gives the
          backups the same final value regardless of delivery order. *)
-      match Hashtbl.find_opt t.cells key with
+      match Cells.find_opt t.cells key with
       | Some cell when cell.token >= token -> ()
       | _ ->
           let _ = store t key data in
-          (match Hashtbl.find_opt t.cells key with
+          (match Cells.find_opt t.cells key with
           | Some cell -> cell.token <- token
           | None -> ()))
   | (Put_if _ | Increment _ | Append _), _ -> ()
@@ -443,23 +454,33 @@ let apply_replica t ?sender ?via (op : Op.t) (outcome : Op.result) =
     `Applied
   end
 
-let snapshot t = Hashtbl.fold (fun key cell acc -> (key, cell.data, cell.token) :: acc) t.cells []
+let snapshot t = Cells.fold (fun key cell acc -> (key, cell.data, cell.token) :: acc) t.cells []
 
 (* Never step backwards: a concurrent write forwarded during re-replication
    must not be clobbered by the (older) bulk snapshot. *)
-let load t entries =
-  List.iter
-    (fun (key, data, token) ->
-      match Hashtbl.find_opt t.cells key with
-      | Some old when old.token >= token -> ()
-      | Some old ->
-          t.bytes_stored <- t.bytes_stored - cell_bytes key old.data;
-          t.bytes_stored <- t.bytes_stored + cell_bytes key data;
-          Hashtbl.replace t.cells key { data; token }
-      | None ->
-          t.bytes_stored <- t.bytes_stored + cell_bytes key data;
-          Hashtbl.replace t.cells key { data; token })
-    entries
+let install t key data ~token =
+  match Cells.find_opt t.cells key with
+  | Some old when old.token >= token -> ()
+  | Some old ->
+      t.bytes_stored <- t.bytes_stored - cell_bytes key old.data + cell_bytes key data;
+      old.data <- data;
+      old.token <- token
+  | None ->
+      t.bytes_stored <- t.bytes_stored + cell_bytes key data;
+      Cells.add t.cells key { data; token }
+
+let load t entries = List.iter (fun (key, data, token) -> install t key data ~token) entries
+
+(* Installing [n] cells one at a time doubles the bucket array whenever
+   the cell count passes twice its length, ending at the smallest doubling
+   of the current length with at least n/2 buckets.  An empty table
+   created at (n+1)/2 buckets has exactly that length without the
+   intermediate resizes.  Resizing keeps every bucket's order (newest
+   first), so iteration order is a function of the install sequence and
+   the final length alone: it does not change. *)
+let reserve t n =
+  if Cells.length t.cells = 0 && (Cells.stats t.cells).num_buckets < (n + 1) / 2 then
+    t.cells <- Cells.create ((n + 1) / 2)
 
 (* Bulk-copy catch-up window.  [begin_catchup] must be called in the same
    suspension-free block as the source snapshot it protects: from then
@@ -490,7 +511,7 @@ let end_catchup t ~partition ~entries =
         q
 
 let wipe t =
-  Hashtbl.reset t.cells;
+  t.cells <- Cells.create initial_buckets;
   Hashtbl.reset t.catchup;
   t.bytes_stored <- 0
 
@@ -499,4 +520,4 @@ let encode_counter = encode_int
 let set_evaluator t evaluate = t.evaluator <- Some evaluate
 
 let find t key =
-  Option.map (fun cell -> (cell.data, cell.token)) (Hashtbl.find_opt t.cells key)
+  Option.map (fun cell -> (cell.data, cell.token)) (Cells.find_opt t.cells key)

@@ -143,11 +143,22 @@ val record_replay : t -> client:int -> op_id:int -> Op.result -> unit
 val snapshot : t -> (Op.key * string * int) list
 (** Dump all cells (for re-replication after fail-over). *)
 
+val install : t -> Op.key -> string -> token:int -> unit
+(** Install one cell with the given token, zero-time and without a
+    capacity check.  Token-max: never steps a cell backwards past a
+    concurrently installed newer write. *)
+
 val load : t -> (Op.key * string * int) list -> unit
-(** Install cells wholesale (target side of re-replication).  Token-max:
-    never steps a cell backwards past a concurrently installed newer
-    write.  Cannot delete — a copy racing the live replication stream
-    must be bracketed with {!begin_catchup}/{!end_catchup}. *)
+(** {!install} cells wholesale (target side of re-replication).  Cannot
+    delete — a copy racing the live replication stream must be bracketed
+    with {!begin_catchup}/{!end_catchup}. *)
+
+val reserve : t -> int -> unit
+(** [reserve t n]: on an empty node, size the cell table for [n] new
+    cells up front, at the length [n] one-at-a-time installs would grow it
+    to.  Iteration order — what {!snapshot} and ownership pruning observe
+    — is the same as without the call.  No effect on a node that
+    holds cells. *)
 
 val begin_catchup : t -> partition:int -> unit
 (** Open a bulk-copy catch-up window for [partition]: until the matching

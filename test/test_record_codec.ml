@@ -174,12 +174,95 @@ let test_remove_version =
            (fun u -> u = v || List.mem u (Record.version_numbers r'))
            (Record.version_numbers r))
 
+(* Golden bytes: the wire format is part of the simulated system's cost
+   model (storage-node charges and network bytes scale with encoded
+   length), so an encoder change must leave every byte where it was.  The
+   hex strings are the output of the original allocate-per-integer codec. *)
+let hex s = String.concat "" (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s)))
+
+let encoded f =
+  let buf = Buffer.create 8 in
+  f buf;
+  hex (Buffer.contents buf)
+
+let check_hex name expected actual = Alcotest.(check string) name expected actual
+
+let test_golden_ints () =
+  List.iter
+    (fun (i, expected) -> check_hex (Printf.sprintf "put_int %d" i) expected (encoded (fun b -> Codec.put_int b i)))
+    [
+      (0, "0000000000000000");
+      (1, "0100000000000000");
+      (-1, "ffffffffffffffff");
+      (max_int, "ffffffffffffff3f");
+      (min_int, "00000000000000c0");
+    ];
+  List.iter
+    (fun (i, expected) ->
+      check_hex (Printf.sprintf "put_int64 %Ld" i) expected (encoded (fun b -> Codec.put_int64 b i)))
+    [
+      (0x0123456789abcdefL, "efcdab8967452301");
+      (Int64.min_int, "0000000000000080");
+      (-2L, "feffffffffffffff");
+    ];
+  List.iter
+    (fun i ->
+      let buf = Buffer.create 8 in
+      Codec.put_int buf i;
+      Alcotest.(check int) "get_int inverts put_int" i (fst (Codec.get_int (Buffer.contents buf) 0)))
+    [ 0; 1; -1; max_int; min_int ]
+
+let test_golden_floats () =
+  List.iter
+    (fun (bits, expected) ->
+      check_hex (Printf.sprintf "float bits %Lx" bits) expected
+        (encoded (fun b -> Codec.put_value b (Value.Float (Int64.float_of_bits bits)))))
+    [
+      (0x8000000000000000L, "020000000000000080") (* -0.0 *);
+      (0x4000000000000001L, "020100000000000040") (* 2^62 bit set *);
+      (0x7ff8000000000123L, "02230100000000f87f") (* NaN with a payload *);
+      (0xfff0000000000001L, "02010000000000f0ff") (* negative signalling NaN *);
+    ]
+
+let test_golden_keys () =
+  List.iter
+    (fun (name, components, expected) -> check_hex name expected (hex (Codec.encode_key components)))
+    [
+      ("int key", [ Value.Int 42; Value.Int (-7) ], "02800000000000002a027ffffffffffffff9");
+      ("float key", [ Value.Float (-1.5); Value.Float 2.0 ], "034007ffffffffffff03c000000000000000");
+      ("string key with NUL", [ Value.Str "a\x00b" ], "046100ff620000");
+      ("null key", [ Value.Null ], "01");
+    ]
+
+let test_golden_records () =
+  check_hex "tuple"
+    "040000000000000001050000000000000003020000000000000061620002000000000000e03f"
+    (hex (Codec.encode_tuple [| Value.Int 5; Value.Str "ab"; Value.Null; Value.Float 0.5 |]));
+  let r =
+    Record.of_versions
+      [
+        { Record.version = 3; payload = Record.Tombstone };
+        { Record.version = 7; payload = Record.Tuple [| Value.Int 1; Value.Str "x"; Value.Float 2.5; Value.Null |] };
+      ]
+  in
+  check_hex "two-version record"
+    ("0200000000000000" ^ "0700000000000000" ^ "01" ^ "0400000000000000" ^ "010100000000000000"
+   ^ "03010000000000000078" ^ "020000000000000440" ^ "00" ^ "0300000000000000" ^ "00")
+    (hex (Record.encode r))
+
 let () =
   Alcotest.run "record_codec"
     [
       ( "codec",
         List.map QCheck_alcotest.to_alcotest
           [ test_tuple_roundtrip; test_key_order; test_key_prefix_successor ] );
+      ( "golden bytes",
+        [
+          Alcotest.test_case "integers" `Quick test_golden_ints;
+          Alcotest.test_case "floats" `Quick test_golden_floats;
+          Alcotest.test_case "index keys" `Quick test_golden_keys;
+          Alcotest.test_case "tuple and record" `Quick test_golden_records;
+        ] );
       ( "record",
         List.map QCheck_alcotest.to_alcotest
           [

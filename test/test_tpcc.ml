@@ -121,12 +121,58 @@ let test_determinism () =
        (match a with _, _, _, n -> n))
     true (a = b)
 
+(* The bulk install creates each storage node's table at its final size.
+   Iteration order is observable (scans before sorting, snapshots that
+   seed re-replication, ownership pruning), so it must equal that of
+   installing the same cells one at a time, also as later writes keep
+   landing in the tables. *)
+let test_bulk_install_matches_incremental () =
+  let engine = Sim.Engine.create () in
+  let config = { Kv.Cluster.default_config with n_storage_nodes = 7; replication_factor = 3 } in
+  let bulk = Kv.Cluster.create engine config and one_by_one = Kv.Cluster.create engine config in
+  let cells, _ = Tpcc.Loader.cells ~scale:(Tpcc.Spec.sim_scale ~warehouses:2) ~seed:3 in
+  Kv.Cluster.install_cells bulk cells;
+  Seq.iter (fun (key, data) -> Kv.Cluster.poke one_by_one ~key ~data) cells;
+  let same_nodes what =
+    Array.iteri
+      (fun i a ->
+        let b = Kv.Cluster.node one_by_one i in
+        Alcotest.(check int) (Printf.sprintf "%s: sn%d bytes_stored" what i)
+          (Kv.Storage_node.bytes_stored b) (Kv.Storage_node.bytes_stored a);
+        Alcotest.(check bool) (Printf.sprintf "%s: sn%d snapshot, in order" what i) true
+          (Kv.Storage_node.snapshot a = Kv.Storage_node.snapshot b))
+      (Kv.Cluster.nodes bulk)
+  in
+  (* Large enough that the one-at-a-time tables resized several times. *)
+  Array.iter
+    (fun sn ->
+      Alcotest.(check bool) "node outgrew the initial table" true
+        (List.length (Kv.Storage_node.snapshot sn) > 4 * 4096))
+    (Kv.Cluster.nodes bulk);
+  same_nodes "after load";
+  let puts cluster =
+    Sim.Engine.spawn engine (fun () ->
+        for i = 1 to 400 do
+          (* New keys, interleaved with overwrites of loaded cells. *)
+          let key = if i mod 3 = 0 then Keys.record ~table:"item" ~rid:i else Printf.sprintf "x/%d" i in
+          Array.iter
+            (fun sn -> ignore (Kv.Storage_node.apply_replica sn (Kv.Op.Put (key, string_of_int i)) Kv.Op.Done))
+            (Kv.Cluster.nodes cluster)
+        done)
+  in
+  puts bulk;
+  puts one_by_one;
+  Sim.Engine.run engine ~until:1_000_000_000 ();
+  same_nodes "after 400 puts"
+
 let () =
   Alcotest.run "tpcc"
     [
       ( "tell",
         [
           Alcotest.test_case "load and read population" `Quick test_load_and_read;
+          Alcotest.test_case "bulk install matches one-at-a-time installs" `Quick
+            test_bulk_install_matches_incremental;
           Alcotest.test_case "standard mix runs" `Quick test_standard_mix_runs;
           Alcotest.test_case "consistency after concurrent run" `Quick test_consistency_after_run;
           Alcotest.test_case "read-intensive mix" `Quick test_read_intensive_mix;

@@ -256,7 +256,7 @@ let () =
       ( "codec",
         List.map QCheck_alcotest.to_alcotest
           [ test_tuple_roundtrip; test_key_order; test_key_prefix_successor ] );
-      ( "golden bytes",
+      ( "golden",
         [
           Alcotest.test_case "integers" `Quick test_golden_ints;
           Alcotest.test_case "floats" `Quick test_golden_floats;

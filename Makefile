@@ -17,11 +17,13 @@ test:
 # by the elastic_scaling example during the smoke), and the
 # commit-manager scale-out contract holds (begin throughput >= 3x from
 # 1 to 4 managers, abort rate flat under merged snapshots —
-# CM_current.json is written by the fig_cm smoke).
+# CM_current.json is written by the fig_cm smoke).  The quick matrix
+# dumps the first failing run's history (the last run's if none fails)
+# to histcheck-quick.hist for offline re-checking with tell_histcheck.
 check:
 	dune build @all
 	dune runtest
-	dune exec bin/tell_check.exe -- --quick
+	dune exec bin/tell_check.exe -- --quick --history-dump histcheck-quick.hist
 	dune exec bin/tell_check.exe -- --mutation
 	$(MAKE) examples-smoke
 	dune exec bin/bench_compare.exe -- --elastic ELASTIC_current.json

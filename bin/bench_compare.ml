@@ -1,15 +1,13 @@
 (* bench_compare: regression gate over tell_bench --json summaries.
 
      bench_compare BASELINE.json CURRENT.json
-       [--tpmc-tolerance PCT] [--rpno-tolerance PCT] [--abort-tolerance PP]
-     bench_compare --elastic ELASTIC.json [--recovery-window-ms MS]
-     bench_compare --cm CM.json [--cm-scaling X] [--abort-tolerance PP]
+     bench_compare --elastic ELASTIC.json
+     bench_compare --cm CM.json
 
-   Fails (exit 1) when the current run's TpmC drops by more than the TpmC
-   tolerance (default 15%), its requests-per-new-order rises by more than
-   the rpno tolerance (default 10%), or its abort rate rises by more than
-   the abort tolerance (default 0.5 percentage points — the snapshot-
-   sharing budget of the begin coalescer) versus the baseline.  The files
+   Fails (exit 1) when the current run's TpmC drops by more than 15%, its
+   requests-per-new-order rises by more than 10%, or its abort rate rises
+   by more than 0.5 percentage points (the snapshot-sharing budget of the
+   begin coalescer) versus the baseline.  The files
    are the flat JSON summaries tell_bench writes; fields are scraped
    textually so the tool has no dependencies beyond the stdlib.
 
@@ -19,17 +17,22 @@
    operation must never surface a timeout or fence bounce to a
    transaction — stale routes bounce with Wrong_master and are absorbed
    by a directory refresh), no failed rebalance moves, and both the
-   add-SN and drain-SN throughput-recovery windows within the bound
-   (default 200 ms).
+   add-SN and drain-SN throughput-recovery windows within 200 ms.
 
    The --cm mode gates the commit-manager scale-out contract, against
    the summary the fig_cm experiment writes: begin throughput must
-   scale by at least the bound (default 3.0x) from 1 to 4 managers, the
-   TPC-C abort rate at the multi-manager point must not exceed the
-   single-manager rate by more than the abort tolerance (default 1.0
-   percentage point in this mode — merged snapshots are at most one
+   scale by at least 3.0x from 1 to 4 managers, the TPC-C abort rate at
+   the multi-manager point must not exceed the single-manager rate by
+   more than 1.0 percentage point (merged snapshots are at most one
    gossip interval delayed, which SI pays for only in aborts), and
    every configured manager must have served begins. *)
+
+let tpmc_tolerance_pct = 15.0
+let rpno_tolerance_pct = 10.0
+let abort_tolerance_pp = 0.5
+let cm_abort_tolerance_pp = 1.0
+let cm_scaling_bound = 3.0
+let recovery_bound_ms = 200.0
 
 let read_file path =
   let ic = open_in_bin path in
@@ -69,7 +72,7 @@ let require path contents name =
       exit 2
 
 (* The storage-elasticity gate (ELASTIC.json from elastic_scaling.exe). *)
-let check_elastic path ~recovery_bound_ms =
+let check_elastic path =
   let contents = read_file path in
   let migrations = require path contents "migrations_done" in
   let aborts = require path contents "migration_aborts" in
@@ -108,7 +111,7 @@ let check_elastic path ~recovery_bound_ms =
   if !failed then exit 1 else print_endline "bench_compare: elastic contract holds"
 
 (* The commit-manager scale-out gate (CM.json from the fig_cm experiment). *)
-let check_cm path ~scaling_bound ~abort_bound_pp =
+let check_cm path =
   let contents = read_file path in
   let tps1 = require path contents "begin_tps_1cm" in
   let tps4 = require path contents "begin_tps_4cm" in
@@ -119,19 +122,19 @@ let check_cm path ~scaling_bound ~abort_bound_pp =
   let serving = require path contents "tpcc_begin_managers" in
   let abort_rise = abortm -. abort1 in
   Printf.printf "begin throughput      %10.0f -> %10.0f begins/s (1 -> 4 managers)\n" tps1 tps4;
-  Printf.printf "begin scaling 4-vs-1  %9.2fx  (required >= %.1fx)\n" scaling scaling_bound;
+  Printf.printf "begin scaling 4-vs-1  %9.2fx  (required >= %.1fx)\n" scaling cm_scaling_bound;
   Printf.printf "TPC-C abort rate      %9.3f%% -> %9.3f%%  (%+.3f pp, tolerance +%.2f pp)\n"
-    abort1 abortm abort_rise abort_bound_pp;
+    abort1 abortm abort_rise cm_abort_tolerance_pp;
   Printf.printf "managers serving      %10.0f  (required %.0f)\n" serving cms;
   let failed = ref false in
-  if scaling < scaling_bound then begin
+  if scaling < cm_scaling_bound then begin
     Printf.printf "FAIL: begin throughput scaled only %.2fx from 1 to 4 managers (< %.1fx)\n"
-      scaling scaling_bound;
+      scaling cm_scaling_bound;
     failed := true
   end;
-  if abort_rise > abort_bound_pp then begin
+  if abort_rise > cm_abort_tolerance_pp then begin
     Printf.printf "FAIL: abort rate rose %.3f pp with merged snapshots (> %.2f pp)\n" abort_rise
-      abort_bound_pp;
+      cm_abort_tolerance_pp;
     failed := true
   end;
   if serving < cms then begin
@@ -141,57 +144,10 @@ let check_cm path ~scaling_bound ~abort_bound_pp =
   if !failed then exit 1 else print_endline "bench_compare: commit-manager contract holds"
 
 let () =
-  let baseline_path = ref None in
-  let current_path = ref None in
-  let elastic_path = ref None in
-  let cm_path = ref None in
-  let tpmc_tolerance = ref 15.0 in
-  let rpno_tolerance = ref 10.0 in
-  let abort_tolerance = ref None in
-  let recovery_bound_ms = ref 200.0 in
-  let cm_scaling = ref 3.0 in
-  let args = Array.to_list Sys.argv in
-  let rec parse = function
-    | [] -> ()
-    | "--tpmc-tolerance" :: v :: rest ->
-        tpmc_tolerance := float_of_string v;
-        parse rest
-    | "--rpno-tolerance" :: v :: rest ->
-        rpno_tolerance := float_of_string v;
-        parse rest
-    | "--abort-tolerance" :: v :: rest ->
-        abort_tolerance := Some (float_of_string v);
-        parse rest
-    | "--elastic" :: path :: rest ->
-        elastic_path := Some path;
-        parse rest
-    | "--cm" :: path :: rest ->
-        cm_path := Some path;
-        parse rest
-    | "--cm-scaling" :: v :: rest ->
-        cm_scaling := float_of_string v;
-        parse rest
-    | "--recovery-window-ms" :: v :: rest ->
-        recovery_bound_ms := float_of_string v;
-        parse rest
-    | path :: rest ->
-        (match (!baseline_path, !current_path) with
-        | None, _ -> baseline_path := Some path
-        | Some _, None -> current_path := Some path
-        | Some _, Some _ ->
-            prerr_endline "bench_compare: too many arguments";
-            exit 2);
-        parse rest
-  in
-  parse (List.tl args);
-  match (!elastic_path, !cm_path) with
-  | Some path, _ -> check_elastic path ~recovery_bound_ms:!recovery_bound_ms
-  | None, Some path ->
-      check_cm path ~scaling_bound:!cm_scaling
-        ~abort_bound_pp:(Option.value ~default:1.0 !abort_tolerance)
-  | None, None -> (
-      match (!baseline_path, !current_path) with
-  | Some baseline_path, Some current_path ->
+  match List.tl (Array.to_list Sys.argv) with
+  | [ "--elastic"; path ] -> check_elastic path
+  | [ "--cm"; path ] -> check_cm path
+  | [ baseline_path; current_path ] ->
       let baseline = read_file baseline_path in
       let current = read_file current_path in
       let b_tpmc = require baseline_path baseline "tpmc" in
@@ -200,36 +156,34 @@ let () =
       let c_rpno = require current_path current "requests_per_new_order" in
       let b_abort = require baseline_path baseline "abort_rate_pct" in
       let c_abort = require current_path current "abort_rate_pct" in
-      let abort_tolerance = ref (Option.value ~default:0.5 !abort_tolerance) in
       let tpmc_drop_pct = 100.0 *. (b_tpmc -. c_tpmc) /. b_tpmc in
       let rpno_rise_pct = 100.0 *. (c_rpno -. b_rpno) /. b_rpno in
       let abort_rise_pp = c_abort -. b_abort in
       Printf.printf "TpmC                  %10.1f -> %10.1f  (%+.1f%%, tolerance -%.0f%%)\n"
-        b_tpmc c_tpmc (-.tpmc_drop_pct) !tpmc_tolerance;
+        b_tpmc c_tpmc (-.tpmc_drop_pct) tpmc_tolerance_pct;
       Printf.printf "requests/new-order    %10.2f -> %10.2f  (%+.1f%%, tolerance +%.0f%%)\n"
-        b_rpno c_rpno rpno_rise_pct !rpno_tolerance;
+        b_rpno c_rpno rpno_rise_pct rpno_tolerance_pct;
       Printf.printf "abort rate            %9.3f%% -> %9.3f%%  (%+.3f pp, tolerance +%.2f pp)\n"
-        b_abort c_abort abort_rise_pp !abort_tolerance;
+        b_abort c_abort abort_rise_pp abort_tolerance_pp;
       let failed = ref false in
-      if tpmc_drop_pct > !tpmc_tolerance then begin
-        Printf.printf "FAIL: TpmC regressed %.1f%% (> %.0f%%)\n" tpmc_drop_pct !tpmc_tolerance;
+      if tpmc_drop_pct > tpmc_tolerance_pct then begin
+        Printf.printf "FAIL: TpmC regressed %.1f%% (> %.0f%%)\n" tpmc_drop_pct tpmc_tolerance_pct;
         failed := true
       end;
-      if rpno_rise_pct > !rpno_tolerance then begin
+      if rpno_rise_pct > rpno_tolerance_pct then begin
         Printf.printf "FAIL: requests/new-order regressed %.1f%% (> %.0f%%)\n" rpno_rise_pct
-          !rpno_tolerance;
+          rpno_tolerance_pct;
         failed := true
       end;
-      if abort_rise_pp > !abort_tolerance then begin
+      if abort_rise_pp > abort_tolerance_pp then begin
         Printf.printf "FAIL: abort rate rose %.3f pp (> %.2f pp)\n" abort_rise_pp
-          !abort_tolerance;
+          abort_tolerance_pp;
         failed := true
       end;
       if !failed then exit 1 else print_endline "bench_compare: within tolerance"
   | _ ->
       prerr_endline
-        "usage: bench_compare BASELINE.json CURRENT.json [--tpmc-tolerance PCT] \
-         [--rpno-tolerance PCT] [--abort-tolerance PP]\n\
-        \       bench_compare --elastic ELASTIC.json [--recovery-window-ms MS]\n\
-        \       bench_compare --cm CM.json [--cm-scaling X] [--abort-tolerance PP]";
-      exit 2)
+        "usage: bench_compare BASELINE.json CURRENT.json\n\
+        \       bench_compare --elastic ELASTIC.json\n\
+        \       bench_compare --cm CM.json";
+      exit 2

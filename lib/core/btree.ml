@@ -419,32 +419,19 @@ let reclaim_orphans t =
    quadratically with the retries already burned — the fibers that have
    lost the most back off the furthest, giving the current winner room —
    and draws no randomness, so replays stay exact. *)
-let contention_pause t ~attempts =
+let contention_pause kv ~attempts =
   let burned = max_attempts - attempts in
   if burned >= 8 then
-    let engine = Kv.Cluster.engine (Kv.Client.cluster t.kv) in
+    let engine = Kv.Cluster.engine (Kv.Client.cluster kv) in
     Tell_sim.Engine.sleep engine ((burned - 7) * (burned - 7) * 500)
 
-(* --- insertion ----------------------------------------------------------------- *)
-
-let insert_entry entries key rid =
-  let cmp (k1, r1) (k2, r2) =
-    match String.compare k1 k2 with 0 -> Int.compare r1 r2 | c -> c
-  in
-  let lst = Array.to_list entries in
-  if List.exists (fun e -> cmp e (key, rid) = 0) lst then entries
-  else Array.of_list (List.sort cmp ((key, rid) :: lst))
-
-let remove_entry entries key rid =
-  Array.of_list (List.filter (fun (k, r) -> not (k = key && r = rid)) (Array.to_list entries))
-
-let split_point n = n / 2
+(* --- separator insertion --------------------------------------------------------- *)
 
 (* Insert separator [sep] (pointing at [right_id]) into the parent level.
    [path] is the remaining ancestor chain, nearest parent first. *)
 let rec insert_sep t ~attempts ~child_level ~sep ~right_id path =
   if attempts <= 0 then invalid_arg "Btree.insert_sep: too many conflicts";
-  contention_pause t ~attempts;
+  contention_pause t.kv ~attempts;
   match path with
   | [] ->
       (* Splitting the root: build a fresh root above the two halves. *)
@@ -515,7 +502,7 @@ let rec insert_sep t ~attempts ~child_level ~sep ~right_id path =
             end
             else begin
               (* Split this inner node, then recurse one level up. *)
-              let mid = split_point (Array.length seps') in
+              let mid = Array.length seps' / 2 in
               let up_sep = seps'.(mid) in
               let left_seps = Array.sub seps' 0 mid in
               let right_seps = Array.sub seps' (mid + 1) (Array.length seps' - mid - 1) in
@@ -552,54 +539,6 @@ let rec insert_sep t ~attempts ~child_level ~sep ~right_id path =
 and ancestors_of t key =
   let _, _, _, path = descend t key in
   path
-
-let rec insert_aux t ~attempts ~key ~rid =
-  if attempts <= 0 then invalid_arg "Btree.insert: too many conflicts";
-  contention_pause t ~attempts;
-  let id, node, token, path = locate_leaf t (key, rid) in
-  match node with
-  | Inner _ -> insert_aux t ~attempts:(attempts - 1) ~key ~rid
-  | Leaf { entries; high_key; next } ->
-      let entries' = insert_entry entries key rid in
-      if entries' == entries then ()
-      else if Array.length entries' <= max_leaf_entries then begin
-        if not (cas_node t id ~token (Leaf { entries = entries'; high_key; next })) then
-          insert_aux t ~attempts:(attempts - 1) ~key ~rid
-      end
-      else begin
-        let mid = split_point (Array.length entries') in
-        let right_entries = Array.sub entries' mid (Array.length entries' - mid) in
-        let sep = right_entries.(0) in
-        let right_id = store_new_node t (Leaf { entries = right_entries; high_key; next }) in
-        with_orphan_guard t right_id @@ fun () ->
-        let left = Leaf { entries = Array.sub entries' 0 mid; high_key = Some sep; next = Some right_id } in
-        if cas_node t id ~token left then
-          insert_sep t ~attempts:max_attempts ~child_level:0 ~sep ~right_id path
-        else begin
-          drop_node t right_id;
-          insert_aux t ~attempts:(attempts - 1) ~key ~rid
-        end
-      end
-
-let insert t ~key ~rid =
-  if t.orphans <> [] then reclaim_orphans t;
-  insert_aux t ~attempts:max_attempts ~key ~rid
-
-let rec remove_aux t ~attempts ~key ~rid =
-  if attempts <= 0 then invalid_arg "Btree.remove: too many conflicts";
-  contention_pause t ~attempts;
-  let id, node, token, _path = locate_leaf t (key, rid) in
-  match node with
-  | Inner _ -> remove_aux t ~attempts:(attempts - 1) ~key ~rid
-  | Leaf { entries; high_key; next } ->
-      let entries' = remove_entry entries key rid in
-      if Array.length entries' = Array.length entries then ()
-      else if not (cas_node t id ~token (Leaf { entries = entries'; high_key; next })) then
-        remove_aux t ~attempts:(attempts - 1) ~key ~rid
-
-let remove t ~key ~rid =
-  if t.orphans <> [] then reclaim_orphans t;
-  remove_aux t ~attempts:max_attempts ~key ~rid
 
 (* --- Bε message buffers (§3d) ------------------------------------------------
 
@@ -969,64 +908,72 @@ let lookup_many t ~keys = List.concat (lookup_many_grouped [ (t, keys) ])
 
 (* --- batched maintenance ------------------------------------------------------ *)
 
-(* Batched inserts/removals (§5.1 batching applied to index maintenance):
+(* The only leaf writer (§5.1 batching applied to index maintenance):
    route every entry through the cached inner levels, fetch all target
    leaves with one multi-get, apply one LL/SC conditional write per leaf,
-   and retry only the entries whose leaf went stale, conflicted, or would
-   split.  Groups for several trees attached to the same store client
-   share the two batched round trips, so a commit touching N index
-   entries across K trees costs ~2 round trips instead of N full
-   traversals.  A leaf that overflows is split in place (all of the
-   batch's entries installed across the two halves at once); the cached
-   inner path is only invalidated when routing was actually stale, never
-   on a plain store-conditional conflict. *)
+   and retry only the entries whose leaf went stale or conflicted.
+   Groups for several trees attached to the same store client share the
+   two batched round trips, so a commit touching N index entries across
+   K trees costs ~2 round trips instead of N full traversals.  A leaf
+   that overflows is split in place however far it overflows, all of the
+   batch's entries installed across the pieces at once; the cached inner
+   path is only invalidated when routing was actually stale, never on a
+   plain store-conditional conflict. *)
 
-let apply_single t = function
-  | Add (key, rid) -> insert_aux t ~attempts:max_attempts ~key ~rid
-  | Del (key, rid) -> remove_aux t ~attempts:max_attempts ~key ~rid
-
-let apply_ops_to_entries entries ops =
-  List.fold_left
-    (fun es op ->
-      match op with
-      | Add (key, rid) -> insert_entry es key rid
-      | Del (key, rid) -> remove_entry es key rid)
-    entries ops
-
-(* Split an overflowing leaf, installing all merged entries at once: CAS
-   the left half over the old cell, store the right half as a fresh node,
-   and push the separator into the ancestors.  Returns [false] when the
-   CAS lost (the caller re-routes the batch). *)
-let split_leaf t id ~token entries' ~high_key ~next =
-  let mid = split_point (Array.length entries') in
-  let right_entries = Array.sub entries' mid (Array.length entries' - mid) in
-  let sep = right_entries.(0) in
-  let right_id = store_new_node t (Leaf { entries = right_entries; high_key; next }) in
-  with_orphan_guard t right_id @@ fun () ->
-  let left =
-    Leaf { entries = Array.sub entries' 0 mid; high_key = Some sep; next = Some right_id }
+(* Split an overflowing leaf of n merged entries into
+   max(2, ⌈n / max_leaf_entries⌉) equal pieces (n ≤ 2 × max_leaf_entries
+   is the classic halving at n/2): store the right pieces as fresh nodes, right to
+   left so each can point at its right neighbour, CAS the left piece over
+   the old cell, and push one separator per new piece into the ancestors.
+   Returns [false] when the CAS lost (the caller re-routes the batch). *)
+let split_leaf t id ~token entries ~high_key ~next =
+  let n = Array.length entries in
+  let k = max 2 ((n + max_leaf_entries - 1) / max_leaf_entries) in
+  let piece i = Array.sub entries (i * n / k) (((i + 1) * n / k) - (i * n / k)) in
+  (* [right]: (separator, node id) of the pieces stored so far, left to right. *)
+  let rec store i ~high_key ~next right =
+    if i > 0 then begin
+      let entries = piece i in
+      let piece_id = store_new_node t (Leaf { entries; high_key; next }) in
+      with_orphan_guard t piece_id @@ fun () ->
+      store (i - 1) ~high_key:(Some entries.(0)) ~next:(Some piece_id)
+        ((entries.(0), piece_id) :: right)
+    end
+    else begin
+      Hashtbl.remove t.decoded id;
+      if cas_node t id ~token (Leaf { entries = piece 0; high_key; next }) then begin
+        List.iter
+          (fun (sep, right_id) ->
+            insert_sep t ~attempts:max_attempts ~child_level:0 ~sep ~right_id (ancestors_of t sep))
+          right;
+        true
+      end
+      else begin
+        List.iter (fun (_, piece_id) -> drop_node t piece_id) right;
+        false
+      end
+    end
   in
-  Hashtbl.remove t.decoded id;
-  if cas_node t id ~token left then begin
-    insert_sep t ~attempts:max_attempts ~child_level:0 ~sep ~right_id (ancestors_of t sep);
-    true
-  end
-  else begin
-    drop_node t right_id;
-    false
-  end
+  store (k - 1) ~high_key ~next []
 
-let batch_rounds = 4
+(* Route each op to its leaf id; a root that is itself a leaf is fetched
+   once for the whole batch rather than once per op. *)
+let router t =
+  let root = root_id t in
+  match load_inner_cached t root with
+  | Leaf _ -> fun _ -> root
+  | Inner _ -> fun target -> leaf_id_for t target root
+  | exception Retry -> fun _ -> raise Retry
 
-let rec batch_round ~rounds groups =
+let rec batch_round ~attempts groups =
   match List.filter (fun (_, ops) -> ops <> []) groups with
   | [] -> ()
-  | groups when rounds <= 0 ->
-      List.iter (fun (t, ops) -> List.iter (apply_single t) ops) groups
   | groups -> (
+      if attempts <= 0 then invalid_arg "Btree: too many conflicts";
       match shared_kv groups with
       | None -> ()
       | Some kv ->
+          contention_pause kv ~attempts;
           (* Route every op to a leaf through the cached inner levels; a
              routing failure marks the tree's cached path as stale. *)
           let work =
@@ -1034,9 +981,10 @@ let rec batch_round ~rounds groups =
               (fun (t, ops) ->
                 let by_leaf = Hashtbl.create 8 in
                 let miss = ref [] in
+                let route = router t in
                 List.iter
                   (fun op ->
-                    match leaf_id_for t (batch_target op) (root_id t) with
+                    match route (batch_target op) with
                     | id ->
                         Hashtbl.replace by_leaf id
                           (op :: Option.value ~default:[] (Hashtbl.find_opt by_leaf id))
@@ -1082,8 +1030,10 @@ let rec batch_round ~rounds groups =
                         retry := !retry @ beyond
                       end;
                       if fits <> [] then begin
-                        let entries' = apply_ops_to_entries entries fits in
-                        if entries' == entries || entries' = entries then ()
+                        let entries' =
+                          Array.of_list (merge_pending (Array.to_list entries) fits)
+                        in
+                        if entries' = entries then ()
                         else if Array.length entries' <= max_leaf_entries then
                           cas_jobs :=
                             ( t, id, fits,
@@ -1092,12 +1042,8 @@ let rec batch_round ~rounds groups =
                                 ( node_key t id, Some token,
                                   encode_node (Leaf { entries = entries'; high_key; next }) ) )
                             :: !cas_jobs
-                        else if Array.length entries' <= 2 * max_leaf_entries then
-                          split_jobs := (t, id, token, entries', high_key, next, fits, retry) :: !split_jobs
                         else
-                          (* A degenerate bulk load into one leaf: the
-                             per-entry path splits as often as needed. *)
-                          List.iter (apply_single t) fits
+                          split_jobs := (t, id, token, entries', high_key, next, fits, retry) :: !split_jobs
                       end))
             items cells;
           (* One conditional multi-write covering every tree's leaves. *)
@@ -1126,16 +1072,16 @@ let rec batch_round ~rounds groups =
               if not (split_leaf t id ~token entries' ~high_key ~next) then retry := !retry @ fits)
             (List.rev !split_jobs);
           List.iter (fun (t, _, _, stale) -> if !stale then invalidate_cache t) work;
-          batch_round ~rounds:(rounds - 1)
+          batch_round ~attempts:(attempts - 1)
             (List.map (fun (t, _, retry, _) -> (t, !retry)) work))
 
 let insert_many t ~entries =
   if t.orphans <> [] then reclaim_orphans t;
-  batch_round ~rounds:batch_rounds [ (t, List.map (fun e -> Add e) entries) ]
+  batch_round ~attempts:max_attempts [ (t, List.map (fun e -> Add e) entries) ]
 
 let remove_many t ~entries =
   if t.orphans <> [] then reclaim_orphans t;
-  batch_round ~rounds:batch_rounds [ (t, List.map (fun e -> Del e) entries) ]
+  batch_round ~attempts:max_attempts [ (t, List.map (fun e -> Del e) entries) ]
 
 (* --- Bε buffer write side (§3d) ----------------------------------------------- *)
 
@@ -1212,7 +1158,7 @@ let rec flush_stripe_aux t ~stripe ~attempts =
     | Some (data, token) ->
         let st = decode_stripe data in
         let pending = drop_msgs st.applied st.msgs in
-        if pending <> [] then batch_round ~rounds:batch_rounds [ (t, pending) ];
+        if pending <> [] then batch_round ~attempts:max_attempts [ (t, pending) ];
         let now = Tell_sim.Engine.now (Kv.Cluster.engine (Kv.Client.cluster t.kv)) in
         let purge_n =
           if st.applied > 0 && now - st.applied_at >= purge_grace_ns then st.applied else 0

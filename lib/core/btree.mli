@@ -28,20 +28,23 @@ val attach : Tell_kv.Client.t -> name:string -> t
 
 val name : t -> string
 
-val insert : t -> key:string -> rid:int -> unit
-val remove : t -> key:string -> rid:int -> unit
-
 val insert_many : t -> entries:(string * int) list -> unit
-(** Insert a batch of entries with (at most) a couple of batched store
-    round trips: the cached inner levels route every entry to its leaf,
-    the leaves are fetched with one multi-get, and each leaf receives one
-    LL/SC conditional write covering all its entries.  Entries whose leaf
-    went stale or conflicted are re-routed in a fresh round; entries whose
-    leaf would split fall back to per-entry traversals.  Equivalent to
-    calling {!insert} per entry. *)
+(** Insert a batch of entries (already present ones are no-ops) — the
+    only way entries reach the leaves, shared with {!remove_many} and the
+    buffer flusher.  Each round routes every pending entry to its leaf
+    through the cached inner levels, fetches the leaves with one
+    multi-get, and gives each leaf one LL/SC conditional write covering
+    all its entries.  A leaf that overflows is split in the same round
+    into as many pieces as it needs (one CAS installs the left piece, one
+    separator per new piece goes up).  Entries whose leaf went stale or
+    conflicted are re-routed in the next round, with a growing pause once
+    rounds pile up; after [64] rounds it raises
+    [Invalid_argument "Btree: too many conflicts"].  Equivalent to
+    inserting the entries one at a time, in any order. *)
 
 val remove_many : t -> entries:(string * int) list -> unit
-(** Batched {!remove}; same strategy as {!insert_many}. *)
+(** Remove a batch of entries (absent ones are no-ops); same rounds as
+    {!insert_many}. *)
 
 (** {1 Reads}
 

@@ -8,9 +8,6 @@ type t = {
   mutable pns : Pn.t list;
   mutable crashed_pns : Pn.t list;
   mutable next_pn_id : int;
-  mutable next_cm_id : int;
-  cm_sync_interval_ns : int;
-  cm_range_size : int;
   recovery : Recovery.t Lazy.t;
   gc : Gc_task.t Lazy.t;
   index_flusher : Index_flusher.t;
@@ -160,9 +157,6 @@ let create engine ?(kv_config = Kv.Cluster.default_config) ?(n_commit_managers =
       pns = [];
       crashed_pns = [];
       next_pn_id = 0;
-      next_cm_id = n_commit_managers;
-      cm_sync_interval_ns;
-      cm_range_size;
       recovery = lazy (Recovery.create t.cluster ~cms:(fun () -> t.cms));
       gc =
         lazy
@@ -190,24 +184,6 @@ let add_pn t ?cores ?cost ?buffer ?notify_flush_window_ns ?begin_window_ns () =
   t.next_pn_id <- t.next_pn_id + 1;
   t.pns <- t.pns @ [ pn ];
   pn
-
-let add_commit_manager t =
-  let id = t.next_cm_id in
-  t.next_cm_id <- id + 1;
-  let peers = id :: List.map Commit_manager.id t.cms in
-  let cm =
-    Commit_manager.create t.cluster ~id ~peers ~range_size:t.cm_range_size
-      ~sync_interval_ns:t.cm_sync_interval_ns ()
-  in
-  Commit_manager.recover cm;
-  (* Two-way introduction: the incumbents must merge the newcomer's
-     published state (its begins are invisible to their snapshots until
-     they do), and every processing node's routing table must learn the
-     new manager or it will never receive a begin. *)
-  List.iter (fun peer -> Commit_manager.note_peer peer ~peer:id) t.cms;
-  t.cms <- t.cms @ [ cm ];
-  List.iter (fun pn -> Pn.add_commit_manager pn cm) t.pns;
-  cm
 
 (* Retire a dead commit manager {e without} a replacement: shrink the
    topology.  The delicate step is dropping the dead manager's frozen
@@ -340,14 +316,6 @@ let with_txn pn f =
       | _ -> if Txn.status txn = Txn.Running then ( try Txn.abort txn with _ -> () ));
       (try Notifier.drain (Pn.notifier pn) with _ -> ());
       raise e
-
-let with_txn_retry ?(attempts = 16) pn f =
-  let rec go n =
-    match with_txn pn f with
-    | result -> result
-    | exception Txn.Conflict _ when n > 1 -> go (n - 1)
-  in
-  go attempts
 
 let exec_in txn sql = Sql_plan.execute_string txn sql
 

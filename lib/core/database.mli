@@ -35,11 +35,6 @@ val add_pn :
 
 val pns : t -> Pn.t list
 
-val add_commit_manager : t -> Commit_manager.t
-(** Elastically add a commit manager: it recovers from the published
-    peer states, every incumbent manager starts merging its state, and
-    every processing node's routing table learns it. *)
-
 val retire_commit_manager : t -> dead:Commit_manager.t -> unit
 (** Retire a dead manager {e without} a replacement: crash it if still
     alive, wait until no live processing node claims any of its active
@@ -109,9 +104,6 @@ val index_flusher : t -> Index_flusher.t
 val with_txn : Pn.t -> (Txn.t -> 'a) -> 'a
 (** Begin, run, commit; aborts (without re-raising masking) on exception.
     Raises {!Txn.Conflict} when the commit loses a write-write race. *)
-
-val with_txn_retry : ?attempts:int -> Pn.t -> (Txn.t -> 'a) -> 'a
-(** Like {!with_txn} but restarts the whole body on {!Txn.Conflict}. *)
 
 (** {1 SQL} *)
 

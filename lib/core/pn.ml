@@ -298,10 +298,6 @@ let begin_distribution t =
   Hashtbl.fold (fun cm_id served acc -> (cm_id, served) :: acc) t.begin_dist []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let add_commit_manager t cm =
-  if not (Array.exists (fun c -> c == cm) t.commit_managers) then
-    t.commit_managers <- Array.append t.commit_managers [| cm |]
-
 let remove_commit_manager t ~dead =
   t.commit_managers <-
     Array.of_list (List.filter (fun c -> not (c == dead)) (Array.to_list t.commit_managers))

@@ -129,9 +129,6 @@ val begin_distribution : t -> (int * int) list
     node's begins each commit manager served — the per-CM load balance
     [tell_bench] reports. *)
 
-val add_commit_manager : t -> Commit_manager.t -> unit
-(** Append a manager to this PN's routing table (elastic CM add). *)
-
 val remove_commit_manager : t -> dead:Commit_manager.t -> unit
 (** Drop a retired manager from this PN's routing table (physical
     equality).  Unlike {!replace_commit_manager} there is no successor:

@@ -177,32 +177,15 @@ let index_scan txn ~table ~index ~lo ~hi =
         | Some tuple
           when Codec.encode_key (Schema.key_of_tuple ~columns:idx.idx_columns tuple) = entry_key ->
             Some tuple
-        | Some _ -> pull ()
-        | None ->
+        | Some _ | None ->
             (* Version-unaware index: the entry may be left over from an
-               old version.  If no stored version carries the key at all,
-               collect it (§5.4). *)
-            (match Txn.read_record txn ~table ~rid with
-            | None -> Txn.gc_index_entry txn ~index ~key:entry_key ~rid
-            | Some record ->
-                let key_live =
-                  List.exists
-                    (fun (v : Record.version) ->
-                      match v.payload with
-                      | Record.Tombstone -> false
-                      | Record.Tuple tuple ->
-                          Codec.encode_key (Schema.key_of_tuple ~columns:idx.idx_columns tuple)
-                          = entry_key)
-                    (Record.versions record)
-                in
-                if not key_live then Txn.gc_index_entry txn ~index ~key:entry_key ~rid);
+               old version, or belong to a commit whose record write has
+               not landed yet (its stripe append can arrive first).  One
+               observation cannot tell the two apart, so the scan only
+               skips it; the GC index sweep retires dead entries (§5.4). *)
             pull ())
   in
   pull
-
-let index_scan_eq txn ~table ~index ~key =
-  let lo = Codec.encode_key key in
-  index_scan txn ~table ~index ~lo ~hi:(lo ^ "\x00")
 
 let filter pred it =
   let rec pull () =

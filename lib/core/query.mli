@@ -44,10 +44,8 @@ val index_scan :
   Txn.t -> table:string -> index:string -> lo:string -> hi:string -> iter
 (** Range scan over a B+tree.  Because indexes are version-unaware
     (§5.3.2), the visible tuple is re-checked against the entry key, and
-    entries whose record no longer carries the key in any version are
-    garbage-collected on the fly (§5.4). *)
-
-val index_scan_eq : Txn.t -> table:string -> index:string -> key:Value.t list -> iter
+    entries whose visible tuple does not carry the key are skipped.  Dead
+    entries are retired only by the GC index sweep (§5.4). *)
 
 val filter : expr -> iter -> iter
 val project : expr list -> iter -> iter

@@ -475,7 +475,8 @@ let run_create_table pn ~table ~cols ~primary_key =
   Created
 
 (* Backfill: conservatively index the key of every stored version
-   (indexes are version-unaware, so over-approximation is correct). *)
+   (indexes are version-unaware, so over-approximation is correct), one
+   batched insert per 128-rid chunk. *)
 let backfill_index pn ~table ~(index : Schema.index) =
   let tree = Btree.attach (Pn.kv pn) ~name:index.idx_name in
   let top = Pn.max_rid pn ~table in
@@ -484,22 +485,26 @@ let backfill_index pn ~table ~(index : Schema.index) =
       let stop = min top (cursor + 127) in
       let keys = List.init (stop - cursor + 1) (fun i -> Keys.record ~table ~rid:(cursor + i)) in
       let replies = Tell_kv.Client.multi_get (Pn.kv pn) keys in
-      List.iteri
-        (fun i reply ->
-          match reply with
-          | None -> ()
-          | Some (data, _) ->
-              List.iter
-                (fun (v : Record.version) ->
-                  match v.payload with
-                  | Record.Tombstone -> ()
-                  | Record.Tuple tuple ->
-                      let key =
-                        Codec.encode_key (Schema.key_of_tuple ~columns:index.idx_columns tuple)
-                      in
-                      Btree.insert tree ~key ~rid:(cursor + i))
-                (Record.versions (Record.decode data)))
-        replies;
+      let entries =
+        List.concat
+          (List.mapi
+             (fun i reply ->
+               match reply with
+               | None -> []
+               | Some (data, _) ->
+                   List.filter_map
+                     (fun (v : Record.version) ->
+                       match v.payload with
+                       | Record.Tombstone -> None
+                       | Record.Tuple tuple ->
+                           Some
+                             ( Codec.encode_key
+                                 (Schema.key_of_tuple ~columns:index.idx_columns tuple),
+                               cursor + i ))
+                     (Record.versions (Record.decode data)))
+             replies)
+      in
+      Btree.insert_many tree ~entries;
       sweep (stop + 1)
     end
   in

@@ -465,13 +465,6 @@ let read_by_pk_multi t reqs =
 let read_by_pk_many t ~table ~index ~keys =
   read_by_pk_multi t (List.map (fun key -> (table, index, key)) keys)
 
-(* Dead index entries are removed through the message buffer too: a
-   direct leaf [Btree.remove] could be resurrected by a later flush of a
-   still-buffered insert for the same entry, while the stripe's append
-   order guarantees the delete lands after the insert it retires. *)
-let gc_index_entry t ~index ~key ~rid =
-  Btree.enqueue_many (Pn.btree t.pn ~index) ~ops:[ Btree.Del (key, rid) ]
-
 (* --- commit / abort ------------------------------------------------------------- *)
 
 let finish_abort t reason =

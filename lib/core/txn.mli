@@ -116,10 +116,6 @@ val index_range : t -> index:string -> lo:string -> hi:string -> (string * int) 
 
 val index_lookup : t -> index:string -> key:string -> int list
 
-val gc_index_entry : t -> index:string -> key:string -> rid:int -> unit
-(** Lazy index GC during reads (§5.4): drop the entry if no stored version
-    of the record carries [key] anymore. *)
-
 (** {1 Termination} *)
 
 val commit : t -> unit

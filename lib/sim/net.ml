@@ -52,7 +52,6 @@ type t = {
   mutable faults : fault list;
   mutable cuts : cut list;
   losses : (string * string, loss) Hashtbl.t;  (* directed (src, dst) *)
-  mutable default_loss : loss option;
   links : (string * string, link_stats) Hashtbl.t;
   mutable messages_dropped : int;
   mutable messages_duplicated : int;
@@ -67,7 +66,6 @@ let create engine rng profile =
     faults = [];
     cuts = [];
     losses = Hashtbl.create 8;
-    default_loss = None;
     links = Hashtbl.create 32;
     messages_dropped = 0;
     messages_duplicated = 0;
@@ -78,8 +76,6 @@ let profile t = t.profile
 let inject_fault t ~from_ns ~until_ns ?(factor = 1.0) ?(extra_ns = 0) () =
   if until_ns > from_ns then
     t.faults <- { from_ns; until_ns; factor; extra_ns } :: t.faults
-
-let clear_faults t = t.faults <- []
 
 let apply_faults t d =
   match t.faults with
@@ -112,7 +108,6 @@ let cut t ~name ~from_ ~to_ ~symmetric =
     :: List.filter (fun c -> c.cut_name <> name) t.cuts
 
 let heal t ~name = t.cuts <- List.filter (fun c -> c.cut_name <> name) t.cuts
-let heal_all t = t.cuts <- []
 let active_cuts t = List.map (fun c -> c.cut_name) t.cuts
 
 let severed t ~src ~dst =
@@ -127,17 +122,6 @@ let set_loss t ~src ~dst ?(drop = 0.0) ?(dup = 0.0) () =
   else Hashtbl.replace t.losses (src, dst) { drop; dup }
 
 let clear_loss t ~src ~dst = Hashtbl.remove t.losses (src, dst)
-
-let set_default_loss t ?(drop = 0.0) ?(dup = 0.0) () =
-  if drop = 0.0 && dup = 0.0 then t.default_loss <- None
-  else t.default_loss <- Some { drop; dup }
-
-let clear_default_loss t = t.default_loss <- None
-
-let loss_for t ~src ~dst =
-  match Hashtbl.find_opt t.losses (src, dst) with
-  | Some l -> Some l
-  | None -> t.default_loss
 
 let link t ~src ~dst =
   match Hashtbl.find_opt t.links (src, dst) with
@@ -169,7 +153,7 @@ let send t ~src ~dst ~bytes =
   end
   else
     let dropped, duplicated =
-      match loss_for t ~src ~dst with
+      match Hashtbl.find_opt t.losses (src, dst) with
       | None -> (false, false)
       | Some { drop; dup } ->
           let dropped = drop > 0.0 && Rng.float t.rng 1.0 < drop in

@@ -43,8 +43,6 @@ val inject_fault :
     Fault-injection hook for the [tell_check] harness — times must be
     virtual, never wall-clock, to preserve seed determinism. *)
 
-val clear_faults : t -> unit
-
 val transfer : t -> bytes:int -> unit
 (** Suspend the calling fiber for one sampled one-way delay and account
     the bytes.  Never drops: use {!send} for traffic that must obey the
@@ -74,7 +72,6 @@ val cut :
     cut). *)
 
 val heal : t -> name:string -> unit
-val heal_all : t -> unit
 
 val active_cuts : t -> string list
 (** Names of the partitions still installed — the harness asserts this is
@@ -87,12 +84,6 @@ val set_loss : t -> src:string -> dst:string -> ?drop:float -> ?dup:float -> uni
     it).  Both 0.0 clears the link's plan. *)
 
 val clear_loss : t -> src:string -> dst:string -> unit
-
-val set_default_loss : t -> ?drop:float -> ?dup:float -> unit -> unit
-(** Loss applied to every link without a specific plan — a uniformly
-    flaky fabric. *)
-
-val clear_default_loss : t -> unit
 
 (** {1 Counters} *)
 

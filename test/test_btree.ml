@@ -37,10 +37,10 @@ let test_model_random () =
         let rid = Random.State.int rng 5 in
         match Random.State.int rng 10 with
         | 0 | 1 | 2 | 3 | 4 | 5 ->
-            Btree.insert tree ~key ~rid;
+            Btree.insert_many tree ~entries:[ (key, rid) ];
             model := Entry_set.add (key, rid) !model
         | 6 | 7 ->
-            Btree.remove tree ~key ~rid;
+            Btree.remove_many tree ~entries:[ (key, rid) ];
             model := Entry_set.remove (key, rid) !model
         | 8 ->
             let expected =
@@ -72,7 +72,7 @@ let test_many_inserts_split () =
       let tree = Btree.attach kv ~name:"big" in
       let n = 5_000 in
       for i = 1 to n do
-        Btree.insert tree ~key:(Printf.sprintf "key%06d" i) ~rid:i
+        Btree.insert_many tree ~entries:[ (Printf.sprintf "key%06d" i, i) ]
       done;
       Btree.check_invariants tree;
       Alcotest.(check int) "all entries present" n
@@ -101,7 +101,7 @@ let test_concurrent_inserts () =
             let tree = Btree.attach kv ~name:"conc" in
             for i = 0 to per_worker - 1 do
               let key = Printf.sprintf "k%05d" ((i * n_workers) + w) in
-              Btree.insert tree ~key ~rid:w;
+              Btree.insert_many tree ~entries:[ (key, w) ];
               (* Interleave aggressively. *)
               if i mod 7 = 0 then Sim.Engine.sleep engine 1_000
             done;
@@ -139,8 +139,8 @@ let test_bulk_matches_incremental () =
         "bulk-built tree contains exactly the entries" expected
         (Btree.range tree ~lo:"" ~hi:"\xff");
       (* And it must remain fully updatable. *)
-      Btree.insert tree ~key:"key99999" ~rid:1;
-      Btree.remove tree ~key:"key00000" ~rid:0;
+      Btree.insert_many tree ~entries:[ ("key99999", 1) ];
+      Btree.remove_many tree ~entries:[ ("key00000", 0) ];
       Btree.check_invariants tree;
       Alcotest.(check (list int)) "insert after bulk" [ 1 ] (Btree.lookup tree ~key:"key99999"))
 
@@ -150,7 +150,7 @@ let test_range_prefix () =
       Btree.create kv ~name:"lim";
       let tree = Btree.attach kv ~name:"lim" in
       for i = 1 to 500 do
-        Btree.insert tree ~key:(Printf.sprintf "k%04d" i) ~rid:i
+        Btree.insert_many tree ~entries:[ (Printf.sprintf "k%04d" i, i) ]
       done;
       let first_10 = Btree.range tree ~lo:"" ~hi:"k0011" in
       Alcotest.(check int) "bound honoured" 10 (List.length first_10);
@@ -164,7 +164,7 @@ let test_lookup_many () =
       Btree.create kv ~name:"many";
       let tree = Btree.attach kv ~name:"many" in
       for i = 1 to 2_000 do
-        Btree.insert tree ~key:(Printf.sprintf "k%05d" i) ~rid:i
+        Btree.insert_many tree ~entries:[ (Printf.sprintf "k%05d" i, i) ]
       done;
       let keys =
         List.map (fun i -> Printf.sprintf "k%05d" i) [ 1; 57; 58; 1999; 1500; 12345; 3 ]
@@ -177,24 +177,24 @@ let test_lookup_many () =
           Alcotest.(check (list int)) ("rids for " ^ key) (Btree.lookup tree ~key) rids)
         keys results;
       (* And the batched path agrees after mutations invalidate caches. *)
-      Btree.remove tree ~key:"k00057" ~rid:57;
-      Btree.insert tree ~key:"k00057" ~rid:5757;
+      Btree.remove_many tree ~entries:[ ("k00057", 57) ];
+      Btree.insert_many tree ~entries:[ ("k00057", 5757) ];
       match Btree.lookup_many tree ~keys:[ "k00057" ] with
       | [ (_, rids) ] -> Alcotest.(check (list int)) "fresh value" [ 5757 ] rids
       | _ -> Alcotest.fail "single result expected")
 
-(* Property: insert_many/remove_many are equivalent to the sequential
-   per-entry operations, including while concurrent committers on other
-   clients mutate the trees.  Two trees receive the same operations — one
-   per entry, one batched — and must end up with identical [range]
-   results. *)
+(* Property: one entry per call and whole batches end in the same tree,
+   including while concurrent committers on other clients mutate the
+   trees.  Two trees receive the same operations — one [insert_many] /
+   [remove_many] call per entry on one, one call per batch on the other —
+   and must end up with identical [range] results. *)
 let test_batched_matches_sequential () =
   with_cluster (fun engine cluster ->
       let kv0 = client cluster in
       Btree.create kv0 ~name:"p_seq";
       Btree.create kv0 ~name:"p_bat";
       (* Concurrent committers: each worker applies its own (disjoint)
-         entries to both trees, batched on one and per-entry on the other,
+         entries to both trees, batched on one and one per call on the other,
          forcing CAS conflicts and splits under the main fiber's feet. *)
       let n_churn = 3 in
       let churn_done = ref 0 in
@@ -218,12 +218,12 @@ let test_batched_matches_sequential () =
             in
             List.iter
               (fun chunk ->
-                List.iter (fun (key, rid) -> Btree.insert seq ~key ~rid) chunk;
+                List.iter (fun e -> Btree.insert_many seq ~entries:[ e ]) chunk;
                 Btree.insert_many bat ~entries:chunk;
                 Sim.Engine.sleep engine 2_000)
               (chunks entries);
             let dels = List.filteri (fun i _ -> i mod 3 = 0) entries in
-            List.iter (fun (key, rid) -> Btree.remove seq ~key ~rid) dels;
+            List.iter (fun e -> Btree.remove_many seq ~entries:[ e ]) dels;
             Btree.remove_many bat ~entries:dels;
             incr churn_done)
       done;
@@ -244,9 +244,9 @@ let test_batched_matches_sequential () =
           else if not (List.mem (key, rid) !dels) then dels := (key, rid) :: !dels
         done;
         let adds = List.rev !adds and dels = List.rev !dels in
-        List.iter (fun (key, rid) -> Btree.insert seq ~key ~rid) adds;
+        List.iter (fun e -> Btree.insert_many seq ~entries:[ e ]) adds;
         Btree.insert_many bat ~entries:adds;
-        List.iter (fun (key, rid) -> Btree.remove seq ~key ~rid) dels;
+        List.iter (fun e -> Btree.remove_many seq ~entries:[ e ]) dels;
         Btree.remove_many bat ~entries:dels;
         List.iter (fun e -> model := Entry_set.add e !model) adds;
         List.iter (fun e -> model := Entry_set.remove e !model) dels;
@@ -349,7 +349,7 @@ let test_buffered_matches_direct () =
               let kv = client cluster in
               let t2 = Btree.attach kv ~name in
               for i = 1 to 400 do
-                Btree.insert t2 ~key:(Printf.sprintf "z%05d" i) ~rid:i;
+                Btree.insert_many t2 ~entries:[ (Printf.sprintf "z%05d" i, i) ];
                 if i mod 50 = 0 then Sim.Engine.sleep engine 2_000
               done;
               churn_done := true);
@@ -537,13 +537,42 @@ let test_duplicate_keys () =
       let tree = Btree.attach kv ~name:"dup" in
       (* Many rids under the same attribute key (non-unique index). *)
       for rid = 1 to 200 do
-        Btree.insert tree ~key:"same" ~rid
+        Btree.insert_many tree ~entries:[ ("same", rid) ]
       done;
       Alcotest.(check int) "all duplicates" 200 (List.length (Btree.lookup tree ~key:"same"));
-      Btree.remove tree ~key:"same" ~rid:77;
+      Btree.remove_many tree ~entries:[ ("same", 77) ];
       let rids = Btree.lookup tree ~key:"same" in
       Alcotest.(check int) "one removed" 199 (List.length rids);
       Alcotest.(check bool) "right one removed" false (List.mem 77 rids))
+
+(* One batch overflowing an empty leaf several times over is split in
+   the same round into as many pieces as it needs: a few store requests
+   for routing, the fetch, the pieces and their separators — not a
+   traversal and a CAS per entry. *)
+let test_batch_overflow_splits_in_one_round () =
+  with_cluster (fun _engine cluster ->
+      let kv = client cluster in
+      Btree.create kv ~name:"burst";
+      let tree = Btree.attach kv ~name:"burst" in
+      let entries = List.init 240 (fun i -> (Printf.sprintf "b%04d" (i * 7 mod 240), i)) in
+      let before = Kv.Client.requests_sent kv in
+      Btree.insert_many tree ~entries;
+      let requests = Kv.Client.requests_sent kv - before in
+      Btree.check_invariants tree;
+      let all = Btree.range tree ~lo:"" ~hi:"\xff" in
+      Alcotest.(check (list (pair string int)))
+        "every entry present" (List.sort compare entries) all;
+      (* Leaf cells are the tree's node cells tagged 'L'. *)
+      let leaves =
+        List.length
+          (List.filter
+             (fun (_, data, _) -> data.[0] = 'L')
+             (Kv.Client.scan_all kv ~prefix:"i/burst/n/"))
+      in
+      Alcotest.(check bool) (Printf.sprintf "%d leaves >= 4" leaves) true (leaves >= 4);
+      Alcotest.(check bool)
+        (Printf.sprintf "%d store requests <= 50" requests)
+        true (requests <= 50))
 
 (* §3c fix: the loser of a concurrent split could leak an unreachable
    node when its cleanup (or a later step of the split) was interrupted
@@ -556,14 +585,14 @@ let test_orphan_reclaim () =
       Btree.create kv ~name:"orph";
       let tree = Btree.attach kv ~name:"orph" in
       for i = 1 to 300 do
-        Btree.insert tree ~key:(Printf.sprintf "k%04d" i) ~rid:i
+        Btree.insert_many tree ~entries:[ (Printf.sprintf "k%04d" i, i) ]
       done;
       (* A stranded node: stored, never linked. *)
       let orphan = Btree.debug_make_orphan tree ~key:"k0150" ~rid:999 in
       Alcotest.(check bool) "orphan stored" true (Btree.debug_node_exists tree orphan);
       Alcotest.(check int) "stashed" 1 (Btree.orphan_count tree);
       (* The next mutation reclaims it. *)
-      Btree.insert tree ~key:"k9999" ~rid:1;
+      Btree.insert_many tree ~entries:[ ("k9999", 1) ];
       Alcotest.(check int) "stash drained" 0 (Btree.orphan_count tree);
       Alcotest.(check bool) "orphan deleted" false (Btree.debug_node_exists tree orphan);
       (* The stranded entry never became visible. *)
@@ -581,8 +610,8 @@ let test_orphan_reclaim () =
 
 (* Deep same-leaf contention: eight fibers CAS-racing duplicate entries
    into one hot leaf used to exhaust the 64-attempt budget on some seeds
-   ([Invalid_argument "Btree.insert: too many conflicts"]).  The
-   deterministic growing retry pause must ride it out. *)
+   ([Invalid_argument "too many conflicts"]).  The deterministic growing
+   retry pause must ride it out. *)
 let run_hot_leaf seed =
   let engine = Sim.Engine.create () in
   let cluster =
@@ -599,7 +628,7 @@ let run_hot_leaf seed =
             let kv = client cluster in
             let tree = Btree.attach kv ~name:"hot" in
             for i = 0 to per_worker - 1 do
-              Btree.insert tree ~key:"hot" ~rid:((w * per_worker) + i)
+              Btree.insert_many tree ~entries:[ ("hot", (w * per_worker) + i) ]
             done;
             incr done_count)
       done;
@@ -644,5 +673,7 @@ let () =
             test_orphan_reclaim;
           Alcotest.test_case "hot-leaf contention survives the attempt budget" `Quick
             test_hot_leaf_contention;
+          Alcotest.test_case "one overflowing batch splits in one round" `Quick
+            test_batch_overflow_splits_in_one_round;
         ] );
     ]

@@ -200,6 +200,77 @@ let test_replace_cm_unreachable () =
           | None -> Alcotest.fail "row missing");
       Alcotest.(check int) "writes commit after the repair" 101 (value_of pn 1))
 
+(* --- index scans during an in-flight commit ------------------------------------- *)
+
+(* A commit's stripe append can land before its record Put_if, which
+   rides the same multi-write to another storage node.  Cut the inserting
+   PN's link to the record's node so the append lands and the record
+   write retries against silence, scan the index from another PN while
+   the entry has no record behind it, then heal: the committed row must
+   still be reachable through the index.  A scan that retires an entry
+   on one "no matching version" sighting deletes it for good here. *)
+let test_index_scan_keeps_in_flight_entry () =
+  run_sim (fun engine ->
+      let kv_config =
+        { Kv.Cluster.default_config with n_storage_nodes = 3; replication_factor = 1 }
+      in
+      let db = Database.create engine ~kv_config () in
+      let pn1 = Database.add_pn db () and pn2 = Database.add_pn db () in
+      let cluster = Database.cluster db in
+      let dir = Kv.Cluster.directory cluster in
+      let sn_of key = Kv.Directory.master dir (Kv.Directory.partition_of_key dir key) in
+      ignore (Database.exec pn1 "CREATE TABLE people (id INT, name TEXT, city TEXT, PRIMARY KEY (id))");
+      ignore (Database.exec pn1 "CREATE INDEX idx_city ON people (city)");
+      ignore (Database.exec pn1 "INSERT INTO people VALUES (1, 'ann', 'zurich')");
+      let zurich_names pn =
+        match
+          Database.exec pn "SELECT name FROM people WHERE city = 'zurich' ORDER BY name"
+        with
+        | Sql_plan.Rows { rows; _ } ->
+            List.map (function [| Value.Str s |] -> s | _ -> Alcotest.fail "row shape") rows
+        | _ -> Alcotest.fail "select failed"
+      in
+      let stripe_sn = sn_of (Keys.index_buffer ~index:"idx_city" ~stripe:0) in
+      (* Open inserts until the record, the stripe cell and the log entry
+         sit on three different storage nodes; abandon the others. *)
+      let rec open_insert id =
+        let txn = Txn.begin_txn pn1 in
+        ignore
+          (Database.exec_in txn
+             (Printf.sprintf "INSERT INTO people VALUES (%d, 'zed%d', 'zurich')" id id));
+        let rid =
+          match Txn.index_range txn ~index:"idx_city" ~lo:"" ~hi:"\xff" with
+          | entries -> List.fold_left (fun acc (_, rid) -> max acc rid) 0 entries
+        in
+        let record_sn = sn_of (Keys.record ~table:"people" ~rid) in
+        let log_sn = sn_of (Keys.log_entry ~tid:(Txn.tid txn)) in
+        if record_sn <> stripe_sn && record_sn <> log_sn then (txn, id, record_sn)
+        else begin
+          Txn.abort txn;
+          open_insert (id + 1)
+        end
+      in
+      let txn, id, record_sn = open_insert 2 in
+      let net = Kv.Cluster.net cluster in
+      Sim.Net.cut net ~name:"record" ~from_:[ Pn.endpoint pn1 ]
+        ~to_:[ Kv.Cluster.sn_endpoint record_sn ] ~symmetric:true;
+      let committed = ref false in
+      Sim.Engine.spawn engine ~group:(Pn.group pn1) (fun () ->
+          Txn.commit txn;
+          Notifier.drain (Pn.notifier pn1);
+          committed := true);
+      Sim.Engine.sleep engine 1_000_000;
+      Alcotest.(check bool) "commit stalled behind the cut" false !committed;
+      Alcotest.(check (list string)) "in-flight row not visible yet" [ "ann" ] (zurich_names pn2);
+      Sim.Net.heal net ~name:"record";
+      while not !committed do
+        Sim.Engine.sleep engine 1_000_000
+      done;
+      Alcotest.(check (list string))
+        "committed row found through the index"
+        [ "ann"; Printf.sprintf "zed%d" id ]
+        (zurich_names pn2))
+
 (* --- retry-backoff jitter ---------------------------------------------------------- *)
 
 let test_backoff_jitter () =
@@ -269,5 +340,7 @@ let () =
             test_backoff_jitter;
           Alcotest.test_case "harness partition scenarios" `Slow test_partition_scenarios;
           Alcotest.test_case "pin: pn-cut seed 15 (bug 11)" `Slow test_pn_cut_seed15_pin;
+          Alcotest.test_case "index scan keeps an in-flight commit's entry" `Quick
+            test_index_scan_keeps_in_flight_entry;
         ] );
     ]

@@ -226,7 +226,7 @@ let test_lookup_many_stale_leaf_fallback () =
       let t2 = Btree.attach kv2 ~name:"idx" in
       let key i = Printf.sprintf "key%05d" i in
       for i = 1 to 40 do
-        Btree.insert t2 ~key:(key i) ~rid:i
+        Btree.insert_many t2 ~entries:[ (key i, i) ]
       done;
       (* Warm t1's inner-node cache so it memoises today's separators. *)
       List.iter (fun i -> Alcotest.(check (list int)) "warm" [ i ] (Btree.lookup t1 ~key:(key i)))
@@ -234,7 +234,7 @@ let test_lookup_many_stale_leaf_fallback () =
       (* Split the leaves out from under the cache through the other
          handle: enough inserts to force leaf (and inner) splits. *)
       for i = 41 to 2_000 do
-        Btree.insert t2 ~key:(key i) ~rid:i
+        Btree.insert_many t2 ~entries:[ (key i, i) ]
       done;
       (* t1's multi-lookup must still be correct everywhere: keys whose
          cached leaf is still authoritative take the fast path, moved keys

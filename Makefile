@@ -46,10 +46,14 @@ bench:
 
 # Reduced benchmark run compared against the committed baseline; fails if
 # TpmC drops more than 15%, requests/new-order rises more than 10%, or
-# the abort rate rises more than 0.5 percentage points.
+# the abort rate rises more than 0.5 percentage points.  Then replays the
+# crash workload at seed 2, which exits non-zero unless the run is
+# correct (it once wedged the index flusher on a missing B+tree
+# separator, DESIGN.md §6 bug 19).
 bench-smoke:
 	dune exec bin/tell_bench.exe -- tell --pns 4 --rf 3 --json BENCH_current.json
 	dune exec bin/bench_compare.exe -- BENCH_commit.json BENCH_current.json
+	bash bench/suite/run.sh --workload tpcc-write-rf3-sn-crash --seed 2 --seconds 12 --trace 0
 
 # The repository benchmark (BENCHMARK.json): every workload at seed 42,
 # one JSON result line per workload.

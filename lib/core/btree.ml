@@ -597,11 +597,12 @@ let entry_compare (k1, r1) (k2, r2) =
 
 (* Calibration (DESIGN.md §3b): the guard must dwarf any single read
    request's service spread so the first hop can trust its piggybacked
-   stripe cells, and the grace must exceed the guard; at TPC-C rates the
-   applied residue the grace retains is a handful of messages per stripe
-   (~30 bytes each), so a generous grace costs almost nothing on the
-   read path, while a tight guard cascades every slow first hop into
-   ordered reads. *)
+   stripe cells, and the grace must exceed the guard.  The grace is not
+   free: on the write workload a stripe cell at append time averages
+   3 KB in the first 50 ms and 15–27 KB from 300 ms on (hundreds of
+   ~30-byte messages, most of them applied residue, DESIGN.md §3d), and
+   every append and merged read carries it.  A tight guard is still
+   worse: it cascades every slow first hop into ordered reads. *)
 let purge_grace_ns = 5_000_000
 let merge_guard_ns = 2_000_000
 let bulk_stripe_target = 16
@@ -965,7 +966,14 @@ let router t =
   | Inner _ -> fun target -> leaf_id_for t target root
   | exception Retry -> fun _ -> raise Retry
 
-let rec batch_round ~attempts groups =
+(* [rights] maps (tree, leaf id) to the (high key, right sibling) of each
+   leaf an earlier round of this batch found ops beyond.  A later round
+   whose route lands on such a leaf again moves right along [next]
+   (Lehman–Yao) instead of trusting the parent: the parent's separator
+   for the sibling can be missing for good when a crash cut [split_leaf]
+   off between its CAS and [insert_sep], and re-routing through it would
+   reach the same leaf every round until the attempts ran out. *)
+let rec batch_rounds ~attempts ~rights groups =
   match List.filter (fun (_, ops) -> ops <> []) groups with
   | [] -> ()
   | groups -> (
@@ -982,9 +990,16 @@ let rec batch_round ~attempts groups =
                 let by_leaf = Hashtbl.create 8 in
                 let miss = ref [] in
                 let route = router t in
+                let rec move_right target id =
+                  match Hashtbl.find_opt rights (t.name, id) with
+                  | Some (high_key, next) when not (below_high target (Some high_key)) ->
+                      move_right target next
+                  | _ -> id
+                in
                 List.iter
                   (fun op ->
-                    match route (batch_target op) with
+                    let target = batch_target op in
+                    match move_right target (route target) with
                     | id ->
                         Hashtbl.replace by_leaf id
                           (op :: Option.value ~default:[] (Hashtbl.find_opt by_leaf id))
@@ -1027,7 +1042,11 @@ let rec batch_round ~attempts groups =
                       in
                       if beyond <> [] then begin
                         stale := true;
-                        retry := !retry @ beyond
+                        retry := !retry @ beyond;
+                        match (high_key, next) with
+                        | Some high_key, Some next ->
+                            Hashtbl.replace rights (t.name, id) (high_key, next)
+                        | _ -> ()
                       end;
                       if fits <> [] then begin
                         let entries' =
@@ -1072,8 +1091,10 @@ let rec batch_round ~attempts groups =
               if not (split_leaf t id ~token entries' ~high_key ~next) then retry := !retry @ fits)
             (List.rev !split_jobs);
           List.iter (fun (t, _, _, stale) -> if !stale then invalidate_cache t) work;
-          batch_round ~attempts:(attempts - 1)
+          batch_rounds ~attempts:(attempts - 1) ~rights
             (List.map (fun (t, _, retry, _) -> (t, !retry)) work))
+
+let batch_round ~attempts groups = batch_rounds ~attempts ~rights:(Hashtbl.create 1) groups
 
 let insert_many t ~entries =
   if t.orphans <> [] then reclaim_orphans t;
@@ -1130,7 +1151,7 @@ let enqueue_note meta results =
   List.map2
     (fun (t, stripe) result ->
       match result with
-      | Kv.Op.Appended (data, _) -> (t, stripe, String.length data)
+      | Kv.Op.Appended (length, _) -> (t, stripe, length)
       | _ -> (t, stripe, 0))
     meta results
 
@@ -1408,3 +1429,27 @@ let debug_make_orphan t ~key ~rid =
   id
 
 let debug_node_exists t id = Kv.Client.get t.kv (node_key t id) <> None
+
+(* The state a crash between [split_leaf]'s CAS and its [insert_sep]
+   leaves: the leaf covering [key] stays linked from its left sibling's
+   [next], but its parent has no separator for it. *)
+let debug_drop_separator t ~key =
+  let leaf_id, _, _, path = descend t (key, min_int) in
+  match path with
+  | [] -> invalid_arg "Btree.debug_drop_separator: the root is a leaf"
+  | parent_id :: _ -> (
+      match load_node t parent_id with
+      | Inner ({ seps; children; _ } as inner), token ->
+          let i = ref (Array.length children - 1) in
+          while !i > 0 && children.(!i) <> leaf_id do
+            decr i
+          done;
+          if !i = 0 then invalid_arg "Btree.debug_drop_separator: leftmost child";
+          let without a j =
+            Array.append (Array.sub a 0 j) (Array.sub a (j + 1) (Array.length a - j - 1))
+          in
+          let parent = Inner { inner with seps = without seps (!i - 1); children = without children !i } in
+          if not (cas_node t parent_id ~token parent) then
+            invalid_arg "Btree.debug_drop_separator: lost the CAS";
+          invalidate_cache t
+      | Leaf _, _ -> invalid_arg "Btree.debug_drop_separator: leaf parent")

@@ -162,3 +162,9 @@ val debug_make_orphan : t -> key:string -> rid:int -> int
     returns its node id.  Test hook for the reclamation path. *)
 
 val debug_node_exists : t -> int -> bool
+
+val debug_drop_separator : t -> key:string -> unit
+(** Remove the parent's separator for the leaf covering [key], leaving
+    the leaf reachable only through its left sibling's [next]: the state
+    a crash between a leaf split's CAS and its separator insert leaves.
+    Test hook for the batched writer's right-walk. *)

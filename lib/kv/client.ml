@@ -91,9 +91,9 @@ let refresh_directory t =
   t.cached_masters <- snapshot
 
 (* Synchronously replicate the effective writes of a batch to the backups
-   of each partition involved (ROWA, §4.4.2).  The calling fiber writes
-   the backups one after the other (see the cost comment below); the
-   master's reply to the client waits for every ack.
+   of each partition involved (ROWA, §4.4.2).  Every backup is written by
+   its own fiber, in parallel as RamCloud does (see the cost comment
+   below); the master's reply to the client waits for every ack.
 
    Writes ship to the {e union} of the chain captured at apply time
    ([chains]) and the live directory chain: the captured one guarantees a
@@ -132,50 +132,76 @@ let replicate t ~sn_id ~via ~chains writes =
           if Directory.master dir p = sn_id then
             List.iter (fun b -> add b pair) (Directory.backups dir p))
         writes;
-      (* Chain replication cost: the backups of one batch are written by
-         the calling fiber one after the other — each write pays the raw
-         round trip plus the backup's log-management latency.  This is the
+      (* Replication cost: each backup's write pays the raw round trip
+         plus the backup's log-management latency per op.  The backups
+         of one batch are written in parallel, so the batch waits for the
+         slowest backup, not for their sum.  This is the
          synchronous-replication latency that dominates write-heavy
          response times (§6.3.1). *)
       let latency_per_write = (Cluster.config t.cluster).replication_latency_ns in
       let config = Cluster.config t.cluster in
-      Hashtbl.iter
-        (fun backup_id batch ->
-          let bytes = List.fold_left (fun a (op, _) -> a + Op.request_bytes op) 32 batch in
-          (* The chain write is acked: a drop on a flaky master->backup
-             link is re-sent until it lands — a silently skipped replica
-             write would leave a stale backup that data-loss surfaces
-             from after a later fail-over.  A severed link exhausts the
-             budget and surfaces as [Unavailable] to the whole batch. *)
-          let src = Cluster.sn_endpoint sn_id and dst = Cluster.sn_endpoint backup_id in
-          let rec ship attempts =
-            match Sim.Net.send net ~src ~dst ~bytes with
-            | `Delivered -> ()
-            | `Dropped when attempts > 0 ->
-                Sim.Engine.sleep (engine t) config.client_timeout_ns;
-                ship (attempts - 1)
-            | `Dropped -> raise (Op.Unavailable dst)
+      let write_backup backup_id batch =
+        let bytes = List.fold_left (fun a (op, _) -> a + Op.request_bytes op) 32 batch in
+        (* The chain write is acked: a drop on a flaky master->backup
+           link is re-sent until it lands — a silently skipped replica
+           write would leave a stale backup that data-loss surfaces
+           from after a later fail-over.  A severed link exhausts the
+           budget and surfaces as [Unavailable] to the whole batch. *)
+        let src = Cluster.sn_endpoint sn_id and dst = Cluster.sn_endpoint backup_id in
+        let rec ship attempts =
+          match Sim.Net.send net ~src ~dst ~bytes with
+          | `Delivered -> ()
+          | `Dropped when attempts > 0 ->
+              Sim.Engine.sleep (engine t) config.client_timeout_ns;
+              ship (attempts - 1)
+          | `Dropped -> raise (Op.Unavailable dst)
+        in
+        ship max_retries;
+        let node = Cluster.node t.cluster backup_id in
+        let fenced = ref false in
+        if Storage_node.alive node then begin
+          List.iter
+            (fun (op, outcome) ->
+              match Storage_node.apply_replica node ~sender:(sender t) ~via op outcome with
+              | `Applied -> ()
+              | `Fenced -> fenced := true)
+            (List.rev batch);
+          Sim.Engine.sleep (engine t) (List.length batch * latency_per_write)
+        end;
+        Sim.Net.transfer net ~bytes:32;
+        if !fenced then
+          (* The master that executed this batch has been deposed by a
+             fenced cutover: the backup refused its stream.  Fail the
+             batch over to the new master (refresh-and-retry) — the
+             write must not be acked with a backup that dropped it. *)
+          raise (Op.Wrong_master (Cluster.sn_endpoint backup_id))
+      in
+      match List.rev (Hashtbl.fold (fun b batch acc -> (b, batch) :: acc) by_backup []) with
+      | [ (backup_id, batch) ] -> write_backup backup_id batch
+      | backups ->
+          (* One fiber per backup, joined on every one of them: the batch
+             returns or raises only once each backup fiber has settled, and
+             then raises the first error in spawn order.  So once this
+             call is over no straggler can still install a replica write —
+             none can land after recovery rolled the write back, or after
+             the client retried the batch elsewhere. *)
+          let settled =
+            List.map
+              (fun (backup_id, batch) ->
+                let done_ = Sim.Ivar.create (engine t) in
+                Sim.Engine.spawn (engine t) ~group:t.group (fun () ->
+                    match write_backup backup_id batch with
+                    | () -> Sim.Ivar.fill done_ ()
+                    | exception e -> Sim.Ivar.fill_exn done_ e);
+                done_)
+              backups
           in
-          ship max_retries;
-          let node = Cluster.node t.cluster backup_id in
-          let fenced = ref false in
-          if Storage_node.alive node then begin
-            List.iter
-              (fun (op, outcome) ->
-                match Storage_node.apply_replica node ~sender:(sender t) ~via op outcome with
-                | `Applied -> ()
-                | `Fenced -> fenced := true)
-              (List.rev batch);
-            Sim.Engine.sleep (engine t) (List.length batch * latency_per_write)
-          end;
-          Sim.Net.transfer net ~bytes:32;
-          if !fenced then
-            (* The master that executed this batch has been deposed by a
-               fenced cutover: the backup refused its stream.  Fail the
-               batch over to the new master (refresh-and-retry) — the
-               write must not be acked with a backup that dropped it. *)
-            raise (Op.Wrong_master (Cluster.sn_endpoint backup_id)))
-        by_backup
+          let errors =
+            List.filter_map
+              (fun done_ -> match Sim.Ivar.read done_ with () -> None | exception e -> Some e)
+              settled
+          in
+          match errors with e :: _ -> raise e | [] -> ()
 
 let rec dispatch t ~sn_id lane =
   let max_batch = (Cluster.config t.cluster).client_max_batch in
@@ -270,7 +296,7 @@ and run_batch t ~sn_id lane batch =
              | `Outcome outcome when Op.is_write p.op -> (
                  match outcome with
                  | Op.Conflict | Op.Fenced_reply | Op.Wrong_master_reply -> None
-                 | outcome -> Some (p.op, outcome))
+                 | outcome -> Some (p.op, Storage_node.replica_outcome node p.op outcome))
              | `Outcome _ | `Replayed _ | `Died -> None)
            outcomes
        in
@@ -432,13 +458,6 @@ let remove_if t key expected =
       | Op.Done -> `Ok
       | Op.Conflict -> `Conflict
       | _ -> invalid_arg "Client.remove_if: protocol mismatch")
-
-let append t key suffix =
-  let op_id = fresh_op_id t in
-  with_retry t ~attempts:max_retries (fun () ->
-      match Sim.Ivar.read (submit t ~op_id (Op.Append (key, suffix))) with
-      | Op.Appended (data, token) -> (data, token)
-      | _ -> invalid_arg "Client.append: protocol mismatch")
 
 let increment t key by =
   let op_id = fresh_op_id t in

@@ -46,12 +46,6 @@ val put_if : t -> Op.key -> int option -> string -> [ `Ok of int | `Conflict ]
 val remove_if : t -> Op.key -> int option -> [ `Ok | `Conflict ]
 val increment : t -> Op.key -> int -> int
 
-val append : t -> Op.key -> string -> string * int
-(** Atomic blind append of a suffix onto the cell (created from the
-    suffix if absent); returns the full post-append value and its token.
-    Exactly-once across retries (deduped like the conditional writes) —
-    the Bε-tree index buffers enqueue messages with it. *)
-
 (** {1 Batched operations} *)
 
 val multi_get : t -> Op.key list -> (string * int) option list

@@ -41,12 +41,12 @@ type result =
           replicate can never step a counter backwards (a regressed
           counter re-issues allocation ranges after a fail-over) *)
   | Keys of (key * string * int) list  (** reply to [Scan] *)
-  | Appended of string * int
-      (** reply to [Append]: (full post-append value, new token).  The
-          value rides along so replica install is a full-cell overwrite
-          with the master's token (same never-step-backwards discipline
-          as [Put_if]); the client-visible reply is counted as a small
-          ack — only the replication channel pays for the cell body. *)
+  | Appended of int * int
+      (** reply to [Append]: (post-append length, new token).  Only the
+          length travels back and into the replay cache: the cell body
+          reaches the backups through the replication stream, which ships
+          an append as the master's whole cell (see
+          [Storage_node.replica_outcome]). *)
   | Done  (** reply to [Put] / unconditional [Remove] *)
   | Fenced_reply
       (** the write carried an epoch token from before its sender's
@@ -108,11 +108,7 @@ let result_bytes = function
   | Value (Some (v, _)) -> String.length v + per_op_overhead
   | Value None | Token _ | Conflict | Count _ | Done | Fenced_reply | Wrong_master_reply ->
       per_op_overhead
-  | Appended (_, _) ->
-      (* The client gets a small ack; the full cell value in the variant
-         exists for the replication channel, which does its own byte
-         accounting when the (op, outcome) pair is shipped to backups. *)
-      8 + per_op_overhead
+  | Appended (_, _) -> 8 + per_op_overhead
   | Keys entries ->
       List.fold_left
         (fun acc (k, v, _) -> acc + String.length k + String.length v + per_op_overhead)

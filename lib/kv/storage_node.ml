@@ -282,10 +282,10 @@ let execute t (op : Op.t) : Op.result =
           account_put t key ~old_data:(Some cell.data) ~new_data:data;
           cell.data <- data;
           cell.token <- cell.token + 1;
-          Appended (data, cell.token)
+          Appended (String.length data, cell.token)
       | None ->
           let token = store t key suffix in
-          Appended (suffix, token))
+          Appended (String.length suffix, token))
   | Increment (key, by) -> (
       match Cells.find_opt t.cells key with
       | Some cell -> (
@@ -415,11 +415,11 @@ let install_replica t (op : Op.t) (outcome : Op.result) =
           (match Cells.find_opt t.cells key with
           | Some cell -> cell.token <- token
           | None -> ()))
-  | Append (key, _), Appended (data, token) -> (
-      (* The outcome carries the master's full post-append value: install
-         it whole under the master's token.  Appends to the same cell are
-         serialized by the master, so the monotone-token guard gives the
-         backups the same final value regardless of delivery order. *)
+  | Append (key, _), Value (Some (data, token)) -> (
+      (* The master ships an append as its whole cell ([replica_outcome]):
+         install it under the master's token.  Appends to the same cell
+         are serialized by the master, so the monotone-token guard gives
+         the backups the same final value regardless of delivery order. *)
       match Cells.find_opt t.cells key with
       | Some cell when cell.token >= token -> ()
       | _ ->
@@ -429,6 +429,18 @@ let install_replica t (op : Op.t) (outcome : Op.result) =
           | None -> ()))
   | (Put_if _ | Increment _ | Append _), _ -> ()
   | (Get _ | Scan _ | Scan_eval _), _ -> ()
+
+(* An append's reply carries only the length (the replay cache would
+   otherwise pin every stripe cell body it ever returned); its replica
+   carries the whole cell, read here in the same suspension-free block as
+   the batch's applies.  A later append of the same batch is already in
+   the cell: its token covers both installs, which the backups' monotone
+   guard makes equivalent to shipping each in turn. *)
+let replica_outcome t (op : Op.t) (outcome : Op.result) =
+  match (op, outcome) with
+  | Append (key, _), Appended _ ->
+      Op.Value (Option.map (fun cell -> (cell.data, cell.token)) (Cells.find_opt t.cells key))
+  | _ -> outcome
 
 let apply_replica t ?sender ?via (op : Op.t) (outcome : Op.result) =
   charge t (Op.request_bytes op);

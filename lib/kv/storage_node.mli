@@ -91,6 +91,13 @@ val apply : t -> ?sender:string * int -> Op.t -> Op.result
     master (per {!set_ownership}) is refused with
     {!Op.result.Wrong_master_reply}. *)
 
+val replica_outcome : t -> Op.t -> Op.result -> Op.result
+(** The form in which the master ships [op]'s [outcome] to its backups.
+    An [Append] travels as the master's whole cell,
+    [Value (Some (data, token))], because its reply carries only the
+    length; every other outcome travels as is.  Call it in the same
+    suspension-free block as the {!apply} that produced [outcome]. *)
+
 val apply_replica :
   t ->
   ?sender:string * int ->

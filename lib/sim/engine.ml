@@ -87,7 +87,20 @@ let sleep t d =
 
 let yield t = sleep t 0
 
+(* Fibers hold a transaction's working set across many host events, so
+   with OCaml's default 256k-word minor heap almost all of it is promoted
+   and later swept by the major GC.  A 64 MB minor heap lets most of it
+   die young.  Raised when an engine first runs, not when it is created:
+   a set-up that bulk-installs a population before running keeps the
+   default, since data built to live gains nothing from a big minor heap
+   and was measured to build slower with one.  Never lowered: a larger
+   OCAMLRUNPARAM [s=] setting is kept. *)
+let minor_heap_words = 8 * 1024 * 1024
+
 let run t ?until () =
+  let gc = Gc.get () in
+  if gc.minor_heap_size < minor_heap_words then
+    Gc.set { gc with minor_heap_size = minor_heap_words };
   let continue_run = ref true in
   while !continue_run do
     match Heap.peek_time t.events with

@@ -76,6 +76,9 @@ val set_tie_break : t -> Rng.t option -> unit
 val run : t -> ?until:int -> unit -> unit
 (** Process events in timestamp order.  Stops when the event queue drains
     or, if [until] is given, just before the first event later than
-    [until] (the clock is then advanced to [until]). *)
+    [until] (the clock is then advanced to [until]).  Also raises the
+    process's minor heap to 8M words if it is smaller (fibers keep much
+    short-lived state alive across events); host-side only, no virtual
+    effect. *)
 
 val pending_events : t -> int

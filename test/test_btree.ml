@@ -645,6 +645,28 @@ let run_hot_leaf seed =
 
 let test_hot_leaf_contention () = List.iter run_hot_leaf [ 1; 4; 6 ]
 
+(* A crash between a leaf split's CAS and its separator insert leaves the
+   right piece linked only by its left sibling's [next].  Routing through
+   the parent keeps landing on the left sibling, whose high key is below
+   the entries: the batched writer must walk right instead of re-routing
+   until "too many conflicts" (bug 19, DESIGN.md §6). *)
+let test_missing_separator_walks_right () =
+  with_cluster (fun _engine cluster ->
+      let kv = client cluster in
+      Btree.create kv ~name:"nosep";
+      let tree = Btree.attach kv ~name:"nosep" in
+      let entries = List.init 300 (fun i -> (Printf.sprintf "k%04d" i, i)) in
+      Btree.insert_many tree ~entries;
+      Btree.debug_drop_separator tree ~key:"k0200";
+      let beyond = [ ("k0200a", 1000); ("k0200b", 1001) ] in
+      Btree.insert_many tree ~entries:beyond;
+      Alcotest.(check (list int)) "inserted beyond the high key" [ 1000 ]
+        (Btree.lookup tree ~key:"k0200a");
+      Btree.remove_many tree ~entries:[ ("k0200b", 1001) ];
+      Alcotest.(check (list (pair string int)))
+        "every entry present" (List.sort compare (("k0200a", 1000) :: entries))
+        (Btree.range tree ~lo:"" ~hi:"\xff"))
+
 let () =
   Alcotest.run "btree"
     [
@@ -675,5 +697,7 @@ let () =
             test_hot_leaf_contention;
           Alcotest.test_case "one overflowing batch splits in one round" `Quick
             test_batch_overflow_splits_in_one_round;
+          Alcotest.test_case "a missing separator is walked right" `Quick
+            test_missing_separator_walks_right;
         ] );
     ]

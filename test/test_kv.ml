@@ -239,6 +239,90 @@ let test_scan_prefix () =
       Alcotest.(check (list string)) "prefix scan" [ "a/1"; "a/2"; "a/3" ]
         (List.map (fun (k, _, _) -> k) hits))
 
+(* An RF3 cluster without the failure detector (a slow or cut link must
+   not be repaired under the test), and [n] keys of one partition with
+   its master and backups. *)
+let run_rf3 f =
+  let engine = Sim.Engine.create () in
+  let cluster =
+    Kv.Cluster.create engine
+      { Kv.Cluster.default_config with n_storage_nodes = 4; replication_factor = 3 }
+  in
+  let result = ref None in
+  Sim.Engine.spawn engine (fun () ->
+      let client = Kv.Client.create cluster ~group:(Sim.Engine.root_group engine) in
+      let dir = Kv.Cluster.directory cluster in
+      let p = Kv.Directory.partition_of_key dir "rf3" in
+      let keys n =
+        let rec go i acc =
+          if List.length acc = n then List.rev acc
+          else
+            let k = Printf.sprintf "rf3/%d" i in
+            go (i + 1) (if Kv.Directory.partition_of_key dir k = p then k :: acc else acc)
+        in
+        go 0 []
+      in
+      result :=
+        Some
+          (f engine cluster client ~keys ~master:(Kv.Directory.master dir p)
+             ~backups:(Kv.Directory.backups dir p)));
+  Sim.Engine.run engine ~until:60_000_000_000 ();
+  match !result with Some r -> r | None -> Alcotest.fail "did not finish"
+
+(* The backups of one batch are written in parallel: a batch of n writes
+   pays about n x [replication_latency_ns] of replication time, as one
+   backup would, not 2n as a chain of two. *)
+let test_backups_written_in_parallel () =
+  run_rf3 (fun engine cluster client ~keys ~master:_ ~backups ->
+      Alcotest.(check int) "two backups" 2 (List.length backups);
+      let n = 40 in
+      let keys = keys n in
+      let started = Sim.Engine.now engine in
+      ignore (Kv.Client.multi_write client (List.map (fun k -> Kv.Op.Put (k, "v")) keys));
+      let elapsed = Sim.Engine.now engine - started in
+      let per_backup = n * (Kv.Cluster.config cluster).replication_latency_ns in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d ns in [%d, %d)" elapsed per_backup (3 * per_backup / 2))
+        true
+        (elapsed >= per_backup && elapsed < 3 * per_backup / 2);
+      List.iter
+        (fun b ->
+          Alcotest.(check bool) "every backup holds the batch" true
+            (List.for_all
+               (fun k -> Kv.Storage_node.find (Kv.Cluster.node cluster b) k <> None)
+               keys))
+        backups)
+
+(* One master->backup link is cut and every message is slowed, so the
+   cut backup's fiber gives up before the healthy one has installed.  The
+   batch may raise [Unavailable] only once the healthy backup's fiber has
+   settled too: afterwards no straggler installs anything on either
+   backup (a replica write landing after the caller saw the failure
+   could resurrect a write that recovery rolled back). *)
+let test_backup_failure_joins_every_backup () =
+  run_rf3 (fun engine cluster client ~keys ~master ~backups ->
+      let key = List.hd (keys 1) in
+      let cut, healthy =
+        match backups with [ a; b ] -> (a, b) | _ -> Alcotest.fail "expected two backups"
+      in
+      let net = Kv.Cluster.net cluster in
+      Sim.Net.cut net ~name:"m->b" ~from_:[ Kv.Cluster.sn_endpoint master ]
+        ~to_:[ Kv.Cluster.sn_endpoint cut ] ~symmetric:false;
+      let config = Kv.Cluster.config cluster in
+      let slow = ((Kv.Client.max_retries + 2) * config.client_timeout_ns) in
+      let now = Sim.Engine.now engine in
+      Sim.Net.inject_fault net ~from_ns:now ~until_ns:(now + 1_000_000_000) ~extra_ns:slow ();
+      let find b = Kv.Storage_node.find (Kv.Cluster.node cluster b) key in
+      (match Kv.Client.put client key "v" with
+      | () -> Alcotest.fail "a cut backup link must fail the write"
+      | exception Kv.Op.Unavailable _ -> ());
+      let at_raise = (find cut, find healthy) in
+      Alcotest.(check bool) "the cut backup holds nothing" true (fst at_raise = None);
+      Alcotest.(check bool) "the healthy backup installed" true (snd at_raise <> None);
+      Sim.Engine.sleep engine (10 * slow);
+      Alcotest.(check bool) "nothing installed after the raise" true
+        ((find cut, find healthy) = at_raise))
+
 let () =
   Alcotest.run "kv"
     [
@@ -258,5 +342,12 @@ let () =
           Alcotest.test_case "writes during failover + RF restore" `Quick test_writes_after_failover;
           Alcotest.test_case "capacity limit" `Quick test_capacity_limit;
           Alcotest.test_case "prefix scan" `Quick test_scan_prefix;
+        ] );
+      ( "replication",
+        [
+          Alcotest.test_case "backups written in parallel" `Quick
+            test_backups_written_in_parallel;
+          Alcotest.test_case "a failed backup joins every backup" `Quick
+            test_backup_failure_joins_every_backup;
         ] );
     ]
